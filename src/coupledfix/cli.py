@@ -23,7 +23,12 @@ e.g. ``x0 = [1, 0.5]`` or ``a_matrix = [[0.2, 0], [0, 0.1]]``. Recognized
 keys: operator, scheme, theta, tol, max_iter, seed, guard_domain, x0, y0,
 reference_fixed_point, out, format, samples, thetas, and, for inline
 linear operators (operator = linear): a_matrix, b_matrix, shift, lower,
-upper. Command-line flags override file values.
+upper. The values of operator, scheme, out and format are kept as
+written.
+
+Flag values use the same value grammar as the file (``--x0 [1, 0.5]``,
+``--guard-domain auto``). Precedence: a flag given on the command line
+wins over an ``analyze`` positional, which wins over the problem file.
 
 Exit codes for ``run``: 0 converged, 2 max_iter_reached (including
 detected cycles), 3 diverged or left the domain, 1 malformed input. The
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
 import os
 import sys
 
@@ -63,6 +69,7 @@ _PROBLEM_KEYS = {
     "x0", "y0", "reference_fixed_point", "out", "format", "samples", "thetas",
     "a_matrix", "b_matrix", "shift", "lower", "upper",
 }
+_TEXT_KEYS = {"operator", "scheme", "out", "format"}
 
 
 class CliError(Exception):
@@ -71,6 +78,8 @@ class CliError(Exception):
 
 def _parse_value(key: str, text: str):
     text = text.strip()
+    if key in _TEXT_KEYS:
+        return text
     if text.startswith("["):
         try:
             return ast.literal_eval(text)
@@ -126,13 +135,23 @@ def _default_tol() -> float:
     return tol
 
 
-def _merge(file_values: dict, args: argparse.Namespace, flag_keys: dict) -> dict:
-    merged = dict(file_values)
-    for key, attr in flag_keys.items():
-        flag = getattr(args, attr, None)
-        if flag is not None:
-            merged[key] = flag
-    return merged
+def _load_spec(args: argparse.Namespace) -> dict:
+    """Merge the problem file, the ``analyze`` positionals and the flags.
+
+    Later sources win: file, then positionals, then every flag given. A
+    flag's string value is parsed with the file's value grammar, here and
+    nowhere else.
+    """
+    spec = parse_problem_file(args.problem) if getattr(args, "problem", None) else {}
+    for key in ("operator", "samples", "seed"):
+        positional = getattr(args, f"{key}_pos", None)
+        if positional is not None:
+            spec[key] = positional
+    for key in _PROBLEM_KEYS:
+        value = getattr(args, key, None)
+        if value is not None:
+            spec[key] = _parse_value(key, value) if isinstance(value, str) else value
+    return spec
 
 
 def _vector_field(spec: dict, key: str, required: bool = False):
@@ -141,8 +160,6 @@ def _vector_field(spec: dict, key: str, required: bool = False):
             raise CliError(f"{key}: required but not given")
         return None
     value = spec[key]
-    if isinstance(value, str):
-        value = _parse_value(key, value)
     if isinstance(value, (int, float)):
         value = [value]
     if not isinstance(value, (list, tuple)):
@@ -182,15 +199,15 @@ def _number_field(spec: dict, key: str, default, convert):
 def _build_config(spec: dict) -> SchemeConfig:
     scheme = spec.get("scheme") or iteration.KRASNOSELSKIJ_DIAGONAL
     guard = spec.get("guard_domain")
-    if isinstance(guard, str):
-        guard = _parse_value("guard_domain", guard)
+    if guard is not None and not isinstance(guard, bool):
+        raise CliError(f"guard_domain: expected true, false or auto, got {guard!r}")
     tol = _default_tol() if spec.get("tol") is None else _number_field(spec, "tol", None, float)
     cfg = SchemeConfig(
         scheme=scheme,
         theta=_number_field(spec, "theta", 0.5, float),
         tol=tol,
         max_iter=_number_field(spec, "max_iter", 1000, int),
-        guard_domain=None if guard is None else bool(guard),
+        guard_domain=guard,
         seed=_number_field(spec, "seed", 0, int),
     )
     try:
@@ -208,24 +225,19 @@ def _write_output(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    file_values = parse_problem_file(args.problem) if args.problem else {}
-    spec = _merge(
-        file_values,
-        args,
-        {
-            "operator": "operator", "scheme": "scheme", "theta": "theta",
-            "tol": "tol", "max_iter": "max_iter", "seed": "seed",
-            "guard_domain": "guard_domain", "x0": "x0", "y0": "y0",
-            "reference_fixed_point": "target", "out": "out", "format": "format",
-        },
-    )
+def _build_run(spec: dict):
+    """The operator, config and starting points shared by ``run`` and ``sweep``."""
     f = _build_operator(spec)
     cfg = _build_config(spec)
     x0 = _vector_field(spec, "x0", required=True)
     y0 = _vector_field(spec, "y0")
     if cfg.scheme in _DOUBLE_SCHEMES and y0 is None:
         raise CliError(f"y0: required for scheme {cfg.scheme}")
+    return f, cfg, x0, y0
+
+
+def _cmd_run(spec: dict) -> int:
+    f, cfg, x0, y0 = _build_run(spec)
     target = _vector_field(spec, "reference_fixed_point")
     try:
         trace = run_scheme(f, cfg, x0, y0, target)
@@ -240,17 +252,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return _EXIT_BY_STATUS[trace.status]
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    file_values = parse_problem_file(args.problem) if args.problem else {}
-    spec = _merge(file_values, args, {"operator": "operator", "samples": "samples",
-                                      "seed": "seed", "out": "out"})
-    # Positionals rank above file values but below explicit flags.
-    if args.operator_pos is not None and args.operator is None:
-        spec["operator"] = args.operator_pos
-    if args.samples_pos is not None and args.samples is None:
-        spec["samples"] = args.samples_pos
-    if args.seed_pos is not None and args.seed is None:
-        spec["seed"] = args.seed_pos
+def _cmd_analyze(spec: dict) -> int:
     f = _build_operator(spec)
     samples = _number_field(spec, "samples", 10000, int)
     seed = _number_field(spec, "seed", 0, int)
@@ -262,17 +264,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    file_values = parse_problem_file(args.problem) if args.problem else {}
-    spec = _merge(
-        file_values,
-        args,
-        {
-            "operator": "operator", "scheme": "scheme", "tol": "tol",
-            "max_iter": "max_iter", "seed": "seed", "guard_domain": "guard_domain",
-            "x0": "x0", "y0": "y0", "thetas": "thetas", "out": "out",
-        },
-    )
+def _cmd_sweep(spec: dict) -> int:
     raw = spec.get("thetas")
     if raw is None:
         raise CliError("thetas: required (comma-separated list in (0, 1))")
@@ -288,24 +280,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if not 0.0 < t < 1.0:
             raise CliError(f"thetas: every weight must lie in (0, 1), got {t}")
 
-    f = _build_operator(spec)
-    base = _build_config(spec)
+    f, base, x0, y0 = _build_run(spec)
     if base.scheme == iteration.PICARD_DOUBLE:
         raise CliError("scheme: sweep varies theta, which picard_double ignores")
-    x0 = _vector_field(spec, "x0", required=True)
-    y0 = _vector_field(spec, "y0")
-    if base.scheme in _DOUBLE_SCHEMES and y0 is None:
-        raise CliError(f"y0: required for scheme {base.scheme}")
 
     lines = ["theta,iterations,final_residual,status"]
     worst = 0
     for theta in sorted(thetas):
-        cfg = SchemeConfig(
-            scheme=base.scheme, theta=theta, tol=base.tol,
-            max_iter=base.max_iter, guard_domain=base.guard_domain, seed=base.seed,
-        )
         try:
-            trace = run_scheme(f, cfg, x0, y0)
+            trace = run_scheme(f, dataclasses.replace(base, theta=theta), x0, y0)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
         worst = max(worst, _EXIT_BY_STATUS[trace.status])
@@ -317,7 +300,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return worst
 
 
-def _cmd_list_operators(_: argparse.Namespace) -> int:
+def _cmd_list_operators(_: dict) -> int:
     for name in operator_names():
         f = get_operator(name)
         sys.stdout.write(
@@ -358,7 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one iteration scheme and write the trace")
     _add_common_run_flags(run_p)
-    run_p.add_argument("--target", dest="target", help="reference fixed point for distance tracking")
+    run_p.add_argument(
+        "--target", dest="reference_fixed_point", metavar="TARGET",
+        help="reference fixed point for distance tracking",
+    )
     run_p.add_argument("--format", choices=["json", "csv"])
     run_p.set_defaults(func=_cmd_run)
 
@@ -384,18 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "guard_domain", None) is not None:
-        args.guard_domain = {"auto": None, "true": True, "false": False}[args.guard_domain]
-    if getattr(args, "x0", None) is not None:
-        args.x0 = _parse_value("x0", args.x0)
-    if getattr(args, "y0", None) is not None:
-        args.y0 = _parse_value("y0", args.y0)
-    if getattr(args, "target", None) is not None:
-        args.target = _parse_value("reference_fixed_point", args.target)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_load_spec(args))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .operators import BivariateOperator
-from .space import Box
+from .space import Box, _norm
 
 __all__ = [
     "MARGIN",
@@ -98,10 +98,6 @@ class Witness:
     u: np.ndarray
     v: np.ndarray
     ratio: float
-
-
-def _norm(w: np.ndarray) -> float:
-    return float(np.sqrt(np.dot(w, w)))
 
 
 def witness_ratio(f: BivariateOperator, w: Witness) -> float:

@@ -35,12 +35,11 @@ runs share no mutable state and may execute concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
 from .operators import BivariateOperator, CoupledPair, NonFiniteEvaluationError
-from .space import as_vector, project_box
+from .space import _norm, as_vector, project_box
 
 __all__ = [
     "PICARD_DOUBLE",
@@ -160,10 +159,6 @@ class IterationTrace:
         return all(a == b for a, b in zip(self.iterates, other.iterates, strict=True))
 
 
-def _norm(v: np.ndarray) -> float:
-    return float(np.sqrt(np.dot(v, v)))
-
-
 def _is_two_cycle(
     x: np.ndarray,
     y: np.ndarray,
@@ -199,7 +194,7 @@ class _Recorder:
         if self.steps and self.steps[-1] == n:
             return
         self.steps.append(n)
-        self.iterates.append(CoupledPair(x.copy(), y.copy()))
+        self.iterates.append(CoupledPair(x, y))
         self.residuals.append(r)
         if self.distances is not None:
             self.distances.append(max(_norm(x - self.target), _norm(y - self.target)))
@@ -257,8 +252,10 @@ def _run_loop(
             if last is None:
                 # Broken at the starting pair: nothing sane to trace.
                 raise
+            # F may be undefined off its domain, so a failure at an escaped
+            # point reports the escape, ending at the last pair inside.
             rec.record(*last, force=True)
-            status = DIVERGED_NONFINITE
+            status = LEFT_DOMAIN if escaped else DIVERGED_NONFINITE
             break
         r = max(_norm(x - fx), _norm(y - fy))
         last = (n, x, y, r)
@@ -334,8 +331,7 @@ def krasnoselskij_diagonal(
     """
     if cfg.scheme != KRASNOSELSKIJ_DIAGONAL:
         raise ValueError(f"config scheme is {cfg.scheme!r}, expected {KRASNOSELSKIJ_DIAGONAL!r}")
-    x = as_vector(x0, "x0")
-    return _run_loop(f, x, x, cfg, target)
+    return _run_loop(f, x0, x0, cfg, target)
 
 
 def krasnoselskij_double(
@@ -398,30 +394,40 @@ class DiagnosticReport:
         raise KeyError(name)
 
 
-def _x_components(iterates: Sequence[CoupledPair]) -> np.ndarray:
-    return np.asarray([p.x for p in iterates], dtype=float)
-
-
 def verify_fejer_monotonicity(trace: IterationTrace, p) -> DiagnosticReport:
-    """Check the descent inequalities of the relaxed schemes toward a fixed point p.
+    """Check the descent inequalities of the relaxed schemes toward a fixed point.
 
-    For every consecutive recorded pair, with theta the weight on the
-    operator image and a^2 = theta*(1-theta) (the largest admissible value):
+    ``p`` is a vector, standing for the pair (p, p), or a ``CoupledPair``
+    (p, q). For every consecutive recorded entry, with theta the weight on
+    the operator image and a^2 = theta*(1-theta) (the largest admissible
+    value):
 
-        ||x_{n+1} - p||   <=  ||x_n - p|| + 1e-12 * scale
-        a^2 * r_n^2       <=  ||x_n - p||^2 - ||x_{n+1} - p||^2 + 1e-9 * scale
+        D_{n+1}         <=  D_n + 1e-12 * (1 + D_n)
+        a^2 * r_n^2     <=  D_n^2 - D_{n+1}^2 + 1e-9 * (1 + D_n^2)
 
-    where r_n is the recorded residual. Raises for traces not produced by a
-    relaxed (Krasnoselskij-type) scheme.
+    where r_n is the recorded residual. On diagonal traces the distance is
+    D_n = ||x_n - p||. On ``krasnoselskij_double`` traces it is the product
+    distance D_n = sqrt(||x_n - p||^2 + ||y_n - q||^2): the map
+    T(x, y) = (F(x, y), F(y, x)) is nonexpansive in the product norm when
+    a + b <= 1, and r_n is at most the product residual, so both
+    inequalities hold there. Raises for traces not produced by a relaxed
+    (Krasnoselskij-type) scheme.
     """
     cfg = trace.scheme_config
     if cfg.scheme not in (KRASNOSELSKIJ_DIAGONAL, KRASNOSELSKIJ_DOUBLE):
         raise ValueError(f"trace comes from {cfg.scheme!r}, not a Krasnoselskij scheme")
-    pv = as_vector(p, "p")
-    xs = _x_components(trace.iterates)
+    if isinstance(p, CoupledPair):
+        pv, qv = p.x, p.y
+    else:
+        pv = qv = as_vector(p, "p")
+    xs = np.asarray([it.x for it in trace.iterates], dtype=float)
     if xs.shape[1] != pv.shape[0]:
         raise ValueError(f"p has dimension {pv.shape[0]}, trace is {xs.shape[1]}-dimensional")
-    dists = np.sqrt(((xs - pv[None, :]) ** 2).sum(axis=1))
+    sq_dists = ((xs - pv[None, :]) ** 2).sum(axis=1)
+    if cfg.scheme == KRASNOSELSKIJ_DOUBLE:
+        ys = np.asarray([it.y for it in trace.iterates], dtype=float)
+        sq_dists = sq_dists + ((ys - qv[None, :]) ** 2).sum(axis=1)
+    dists = np.sqrt(sq_dists)
     theta = float(cfg.theta)
     a_sq = theta * (1.0 - theta)
     res = np.asarray(trace.residuals, dtype=float)
@@ -430,10 +436,10 @@ def verify_fejer_monotonicity(trace: IterationTrace, p) -> DiagnosticReport:
     worst_ineq = 0.0
     for k in range(len(dists) - 1):
         mono_violation = dists[k + 1] - dists[k] - 1e-12 * (1.0 + dists[k])
-        worst_mono = max(worst_mono, mono_violation)
+        worst_mono = max(worst_mono, float(mono_violation))
         gap = dists[k] ** 2 - dists[k + 1] ** 2
         ineq_violation = a_sq * res[k] ** 2 - gap - 1e-9 * (1.0 + dists[k] ** 2)
-        worst_ineq = max(worst_ineq, ineq_violation)
+        worst_ineq = max(worst_ineq, float(ineq_violation))
 
     checks = (
         DiagnosticCheck("distance_nonincreasing", worst_mono <= 0.0, worst_mono),

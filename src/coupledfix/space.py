@@ -48,10 +48,13 @@ def inner(x, y) -> float:
     return float(np.dot(xv, yv))
 
 
+def _norm(v: np.ndarray) -> float:
+    return float(np.sqrt(np.dot(v, v)))
+
+
 def norm(x) -> float:
     """Euclidean norm, ``sqrt(inner(x, x))``."""
-    xv = as_vector(x, "x")
-    return float(np.sqrt(np.dot(xv, xv)))
+    return _norm(as_vector(x, "x"))
 
 
 def convex_combination(lam: float, x, y) -> np.ndarray:
@@ -82,7 +85,10 @@ def convex_identity_defect(lam: float, x, y, z) -> float:
     yv = as_vector(y, "y")
     zv = as_vector(z, "z")
     _require_same_dim(xv, zv, "convex_identity_defect")
-    w = convex_combination(lam, xv, yv) - zv
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
+    _require_same_dim(xv, yv, "convex_combination")
+    w = lam * xv + (1.0 - lam) * yv - zv
     lhs = float(np.dot(w, w))
     dx = xv - zv
     dy = yv - zv

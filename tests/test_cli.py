@@ -226,6 +226,42 @@ class TestProblemFiles:
         assert "theta" in capsys.readouterr().err
 
 
+class TestSpecLoader:
+    def test_malformed_flag_literal_names_field(self, capsys):
+        code = run_cli("run", "--operator", "example_4_1", "--x0", "[1")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "x0" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["maybe", "2"])
+    def test_guard_domain_must_be_bool_or_auto(self, tmp_path, capsys, value):
+        p = tmp_path / "problem.txt"
+        p.write_text(f"operator = example_4_1\nx0 = [1]\nguard_domain = {value}\n")
+        assert run_cli("run", "--problem", str(p)) == 1
+        assert "guard_domain" in capsys.readouterr().err
+
+    def test_guard_flag_auto_overrides_file(self, tmp_path, capsys):
+        p = tmp_path / "problem.txt"
+        p.write_text("operator = example_4_1\nx0 = [1]\nguard_domain = true\n")
+        assert run_cli("run", "--problem", str(p), "--guard-domain", "auto") == 0
+        # Automatic guarding is off for a self-map.
+        assert json.loads(capsys.readouterr().out)["guard_domain"] is False
+
+    def test_target_flag_overrides_file(self, tmp_path, capsys):
+        p = tmp_path / "problem.txt"
+        p.write_text("operator = example_4_1\nx0 = [1]\nreference_fixed_point = [0.5]\n")
+        assert run_cli("run", "--problem", str(p), "--target", "[0]") == 0
+        assert json.loads(capsys.readouterr().out)["distances"][0] == 1.0
+
+    def test_sweep_ignores_single_theta(self, capsys):
+        argv = ("sweep", "--operator", "example_4_1", "--x0", "[1]", "--thetas", "0.5")
+        assert run_cli(*argv) == 0
+        without = capsys.readouterr().out
+        assert run_cli(*argv, "--theta", "0.9") == 0
+        assert capsys.readouterr().out == without
+
+
 class TestAnalyze:
     def test_positional_form(self, tmp_path):
         out = tmp_path / "report.json"

@@ -259,6 +259,20 @@ class TestDomainHandling:
         assert tr.status == LEFT_DOMAIN
         assert not f.domain.contains(tr.final_pair.x)
 
+    def test_escape_where_operator_is_undefined_yields_left_domain(self):
+        # F is NaN off its box, so the escaped point cannot be evaluated; the
+        # run still reports the escape and ends at the last pair inside.
+        f = BivariateOperator(
+            name="undefined_outside",
+            domain=Box([-1.0], [1.0]),
+            evaluator=lambda x, y: np.where(np.abs(x) <= 1.0, 1.5 * x, np.nan),
+            range_in_domain=True,
+        )
+        tr = krasnoselskij_diagonal(f, [0.9], cfg(KRASNOSELSKIJ_DIAGONAL, theta=0.9, max_iter=50))
+        assert tr.status == LEFT_DOMAIN
+        assert tr.n_steps == 0
+        assert tr.final_pair == CoupledPair([0.9], [0.9])
+
     def test_nonfinite_step_diverges(self):
         f = BivariateOperator(
             name="blowup",
@@ -360,6 +374,21 @@ class TestFejerMonotonicity:
                     f, x0, cfg(KRASNOSELSKIJ_DIAGONAL, theta=theta, tol=1e-12, max_iter=3000)
                 )
                 assert verify_fejer_monotonicity(tr, fixed.x).passed
+
+    def test_double_trace_uses_product_distance(self):
+        # From (0.1, 0.9) the skew map's relaxed double scheme converges to
+        # (-0.4, 0.4); the product distance to the coupled fixed points
+        # (0, 0) and (-0.4, 0.4) never increases, though |x_n| does.
+        f = get_operator("example_2_1")
+        tr = krasnoselskij_double(
+            f, [0.1], [0.9], cfg(KRASNOSELSKIJ_DOUBLE, theta=0.3, tol=1e-12, max_iter=500)
+        )
+        assert tr.status == CONVERGED
+        for p in ([0.0], CoupledPair([0.0], [0.0]), CoupledPair([-0.4], [0.4])):
+            report = verify_fejer_monotonicity(tr, p)
+            assert report.passed is True
+            assert report.check("distance_nonincreasing").passed is True
+            assert report.check("residual_energy_bound").passed is True
 
     def test_rejects_picard_traces(self):
         f = get_operator("example_2_1")
