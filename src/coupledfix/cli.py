@@ -18,13 +18,16 @@ Examples:
     coupledfix list-operators
 
 Problem files are flat ``key = value`` lines; blank lines and ``#``
-comments are ignored. Vector and matrix values are bracketed literals,
-e.g. ``x0 = [1, 0.5]`` or ``a_matrix = [[0.2, 0], [0, 0.1]]``. Recognized
-keys: operator, scheme, theta, tol, max_iter, seed, guard_domain, x0, y0,
-reference_fixed_point, out, format, samples, thetas, and, for inline
-linear operators (operator = linear): a_matrix, b_matrix, shift, lower,
-upper. The values of operator, scheme, out and format are kept as
-written.
+comments are ignored. A value that starts with ``[`` is a JSON array of
+JSON numbers, nested for matrices: ``x0 = [1, 0.5]``,
+``a_matrix = [[0.2, 0], [0, 0.1]]`` or ``shift = [1e-05, -0.0]``. Anything
+else there is a malformed array literal, including the Python spellings
+``[.5]``, ``[1.]``, ``[+1]``, ``[1, 2,]``, ``[(1, 2)]``, ``[True]``,
+``['1']`` and ``[None]``. Recognized keys: operator, scheme, theta, tol,
+max_iter, seed, guard_domain, x0, y0, reference_fixed_point, out, format,
+samples, thetas, and, for inline linear operators (operator = linear):
+a_matrix, b_matrix, shift, lower, upper. The values of operator, scheme,
+out and format are kept as written.
 
 Flag values use the same value grammar as the file (``--x0 [1, 0.5]``,
 ``--guard-domain auto``). Precedence: a flag given on the command line
@@ -39,8 +42,8 @@ COUPLEDFIX_DEFAULT_TOL environment variable.
 from __future__ import annotations
 
 import argparse
-import ast
 import dataclasses
+import json
 import os
 import sys
 
@@ -76,15 +79,23 @@ class CliError(Exception):
     """Bad input; the message names the offending field."""
 
 
+def _is_number_array(value) -> bool:
+    """A list whose leaves, at any depth, are numbers (``bool`` is not one)."""
+    return type(value) is list and all(type(v) in (int, float) or _is_number_array(v) for v in value)
+
+
 def _parse_value(key: str, text: str):
     text = text.strip()
     if key in _TEXT_KEYS:
         return text
     if text.startswith("["):
-        try:
-            return ast.literal_eval(text)
-        except (ValueError, SyntaxError) as exc:
-            raise CliError(f"{key}: malformed array literal {text!r}") from exc
+        try:  # NaN and Infinity come back as strings, which the leaf check rejects
+            value = json.loads(text, parse_constant=str)
+        except ValueError:
+            value = None
+        if not _is_number_array(value):
+            raise CliError(f"{key}: malformed array literal {text!r}")
+        return value
     low = text.lower()
     if low in ("true", "false"):
         return low == "true"
@@ -155,14 +166,14 @@ def _load_spec(args: argparse.Namespace) -> dict:
 
 
 def _vector_field(spec: dict, key: str, required: bool = False):
-    if key not in spec or spec[key] is None:
+    value = spec.get(key)
+    if value is None:
         if required:
             raise CliError(f"{key}: required but not given")
         return None
-    value = spec[key]
     if isinstance(value, (int, float)):
         value = [value]
-    if not isinstance(value, (list, tuple)):
+    if not isinstance(value, list):
         raise CliError(f"{key}: expected a vector literal like [1, 0.5], got {value!r}")
     return value
 

@@ -109,15 +109,26 @@ class OracleHandle:
             object.__setattr__(self, "lam", float(self.lam))
 
 
-def _power(base: float, n: int) -> float:
-    p = 1.0
-    for _ in range(n):
-        p *= base
-    return p
+def _powers(h: OracleHandle, n_max: int):
+    # (p_slow, p_fast) for n = 0..n_max: running products of the difference and sum weights.
+    if h.kind == PICARD_EXAMPLE_2_1:
+        slow, fast = 1.0, -1.0 / 3.0
+    else:
+        slow, fast = 1.0 - h.lam, 1.0 - 2.0 * h.lam
+    p_slow = p_fast = 1.0
+    for _ in range(n_max + 1):
+        yield p_slow, p_fast
+        p_slow *= slow
+        p_fast *= fast
 
 
-def _pair_at(h: OracleHandle, p_slow: float, p_fast: float) -> CoupledPair:
-    # p_slow = (1-lam)^n weight on the difference part, p_fast the sum part.
+def _pair_at(h: OracleHandle, n: int, p_slow: float, p_fast: float) -> CoupledPair:
+    # CoupledPair copies both components, so the pair never aliases h.
+    if n == 0:
+        return CoupledPair(h.x0, h.x0 if h.y0 is None else h.y0)
+    if h.kind == KRASNOSELSKIJ_EXAMPLE_4_1:
+        x = p_fast * h.x0
+        return CoupledPair(x, x)
     half_sum = 0.5 * p_fast * (h.x0 + h.y0)
     half_diff = 0.5 * p_slow * (h.x0 - h.y0)
     return CoupledPair(half_diff + half_sum, -half_diff + half_sum)
@@ -128,20 +139,14 @@ def oracle_iterate(h: OracleHandle, n: int) -> CoupledPair:
     n = int(n)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if n == 0:
-        y0 = h.x0 if h.y0 is None else h.y0
-        return CoupledPair(h.x0.copy(), y0.copy())
-    if h.kind == PICARD_EXAMPLE_2_1:
-        return _pair_at(h, 1.0, _power(-1.0 / 3.0, n))
-    if h.kind == KRASNOSELSKIJ_EXAMPLE_4_1:
-        x = _power(1.0 - 2.0 * h.lam, n) * h.x0
-        return CoupledPair(x, x.copy())
-    return _pair_at(h, _power(1.0 - h.lam, n), _power(1.0 - 2.0 * h.lam, n))
+    for powers in _powers(h, n):
+        pass
+    return _pair_at(h, n, *powers)
 
 
 def oracle_trace(h: OracleHandle, n_max: int) -> list[CoupledPair]:
     """Iterates 0..n_max inclusive, bit-identical to per-index ``oracle_iterate`` calls."""
-    return [oracle_iterate(h, n) for n in range(int(n_max) + 1)]
+    return [_pair_at(h, n, *powers) for n, powers in enumerate(_powers(h, int(n_max)))]
 
 
 def oracle_limit(h: OracleHandle) -> CoupledPair:

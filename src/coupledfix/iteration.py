@@ -150,11 +150,8 @@ class IterationTrace:
             or self.scheme_config != other.scheme_config
             or self.operator_name != other.operator_name
             or self.cycle_detected != other.cycle_detected
+            or self.distances_to_target != other.distances_to_target
         ):
-            return False
-        if (self.distances_to_target is None) != (other.distances_to_target is None):
-            return False
-        if self.distances_to_target is not None and self.distances_to_target != other.distances_to_target:
             return False
         return all(a == b for a, b in zip(self.iterates, other.iterates, strict=True))
 
@@ -206,7 +203,10 @@ def _run_loop(
     y0,
     cfg: SchemeConfig,
     target,
+    scheme: str,
 ) -> IterationTrace:
+    if cfg.scheme != scheme:
+        raise ValueError(f"config scheme is {cfg.scheme!r}, expected {scheme!r}")
     cfg.validate()
     x = as_vector(x0, "x0")
     y = as_vector(y0, "y0")
@@ -221,19 +221,18 @@ def _run_loop(
     if target_v is not None and target_v.shape[0] != d:
         raise ValueError(f"target has dimension {target_v.shape[0]}, operator expects {d}")
 
-    guard = cfg.guard_domain
-    if not f.range_in_domain:
-        guard = True
-    elif guard is None:
-        guard = False
+    guard = not f.range_in_domain or bool(cfg.guard_domain)
     resolved = replace(cfg, guard_domain=guard)
 
     relaxed = cfg.scheme != PICARD_DOUBLE
     theta = float(cfg.theta)
     one_minus_theta = 1.0 - theta
     box = f.domain
-    bound_scale = 1.0 + float(np.abs(np.concatenate([box.lower, box.upper])).max())
-    escape_slack = 1e-12 * bound_scale
+    escape_slack = 1e-12 * (1.0 + float(np.abs(np.concatenate([box.lower, box.upper])).max()))
+    # The bounds Box.contains(v, slack=escape_slack) compares against; next
+    # to the float maximum they round to inf, which is what they mean there.
+    with np.errstate(over="ignore"):
+        low, high = box.lower - escape_slack, box.upper + escape_slack
 
     rec = _Recorder(int(cfg.max_iter), target_v, TRACE_CAP)
     prev: tuple[np.ndarray, np.ndarray] | None = None
@@ -254,48 +253,38 @@ def _run_loop(
                 raise
             # F may be undefined off its domain, so a failure at an escaped
             # point reports the escape, ending at the last pair inside.
-            rec.record(*last, force=True)
             status = LEFT_DOMAIN if escaped else DIVERGED_NONFINITE
             break
         r = max(_norm(x - fx), _norm(y - fy))
         last = (n, x, y, r)
-        rec.record(n, x, y, r)
+        rec.record(*last)
         if escaped:
-            rec.record(n, x, y, r, force=True)
             status = LEFT_DOMAIN
-            break
-        if r <= cfg.tol:
-            rec.record(n, x, y, r, force=True)
+        elif r <= cfg.tol:
             status = CONVERGED
-            break
-        if cfg.scheme == PICARD_DOUBLE and prev2 is not None and _is_two_cycle(x, y, prev, prev2):
-            rec.record(n, x, y, r, force=True)
-            cycle = True
+        elif cfg.scheme == PICARD_DOUBLE and prev2 is not None and _is_two_cycle(x, y, prev, prev2):
+            status, cycle = MAX_ITER_REACHED, True
+        elif n >= cfg.max_iter:
             status = MAX_ITER_REACHED
-            break
-        if n >= cfg.max_iter:
-            rec.record(n, x, y, r, force=True)
-            status = MAX_ITER_REACHED
-            break
-
-        if relaxed:
-            xn = one_minus_theta * x + theta * fx
-            yn = one_minus_theta * y + theta * fy
         else:
-            xn, yn = fx, fy
-        if not (np.isfinite(xn).all() and np.isfinite(yn).all()):
-            rec.record(n, x, y, r, force=True)
-            status = DIVERGED_NONFINITE
+            if relaxed:
+                xn = one_minus_theta * x + theta * fx
+                yn = one_minus_theta * y + theta * fy
+            else:
+                xn, yn = fx, fy
+            if not (np.isfinite(xn).all() and np.isfinite(yn).all()):
+                status = DIVERGED_NONFINITE
+        if status is not None:
             break
         if guard:
             xn = project_box(xn, box)
             yn = project_box(yn, box)
-        elif not (box.contains(xn, slack=escape_slack) and box.contains(yn, slack=escape_slack)):
-            escaped = True
-        prev2 = prev
-        prev = (x, y)
+        else:
+            escaped = not all((v >= low).all() and (v <= high).all() for v in (xn, yn))
+        prev2, prev = prev, (x, y)
         x, y = xn, yn
         n += 1
+    rec.record(*last, force=True)
 
     return IterationTrace(
         step_indices=rec.steps,
@@ -329,9 +318,7 @@ def krasnoselskij_diagonal(
     pair satisfies the coupled fixed point residual bound ``tol`` exactly
     by the stopping rule.
     """
-    if cfg.scheme != KRASNOSELSKIJ_DIAGONAL:
-        raise ValueError(f"config scheme is {cfg.scheme!r}, expected {KRASNOSELSKIJ_DIAGONAL!r}")
-    return _run_loop(f, x0, x0, cfg, target)
+    return _run_loop(f, x0, x0, cfg, target, KRASNOSELSKIJ_DIAGONAL)
 
 
 def krasnoselskij_double(
@@ -343,9 +330,7 @@ def krasnoselskij_double(
     scheme from x0: the two components then evolve through the exact same
     floating-point operations.
     """
-    if cfg.scheme != KRASNOSELSKIJ_DOUBLE:
-        raise ValueError(f"config scheme is {cfg.scheme!r}, expected {KRASNOSELSKIJ_DOUBLE!r}")
-    return _run_loop(f, x0, y0, cfg, target)
+    return _run_loop(f, x0, y0, cfg, target, KRASNOSELSKIJ_DOUBLE)
 
 
 def picard_double(f: BivariateOperator, x0, y0, cfg: SchemeConfig, target=None) -> IterationTrace:
@@ -356,9 +341,7 @@ def picard_double(f: BivariateOperator, x0, y0, cfg: SchemeConfig, target=None) 
     weak nonexpansiveness bound, this iteration can converge to a limit
     determined by the starting pair, or oscillate (see the cycle flag).
     """
-    if cfg.scheme != PICARD_DOUBLE:
-        raise ValueError(f"config scheme is {cfg.scheme!r}, expected {PICARD_DOUBLE!r}")
-    return _run_loop(f, x0, y0, cfg, target)
+    return _run_loop(f, x0, y0, cfg, target, PICARD_DOUBLE)
 
 
 def run_scheme(f: BivariateOperator, cfg: SchemeConfig, x0, y0=None, target=None) -> IterationTrace:
@@ -432,14 +415,12 @@ def verify_fejer_monotonicity(trace: IterationTrace, p) -> DiagnosticReport:
     a_sq = theta * (1.0 - theta)
     res = np.asarray(trace.residuals, dtype=float)
 
-    worst_mono = 0.0
-    worst_ineq = 0.0
-    for k in range(len(dists) - 1):
-        mono_violation = dists[k + 1] - dists[k] - 1e-12 * (1.0 + dists[k])
-        worst_mono = max(worst_mono, float(mono_violation))
-        gap = dists[k] ** 2 - dists[k + 1] ** 2
-        ineq_violation = a_sq * res[k] ** 2 - gap - 1e-9 * (1.0 + dists[k] ** 2)
-        worst_ineq = max(worst_ineq, float(ineq_violation))
+    # Worst violation over consecutive entries, 0.0 when none is positive;
+    # NaN (inf - inf, once squared distances overflow) is skipped.
+    d0, d1 = dists[:-1], dists[1:]
+    worst_mono = float(np.nanmax(d1 - d0 - 1e-12 * (1.0 + d0), initial=0.0))
+    gap = d0**2 - d1**2
+    worst_ineq = float(np.nanmax(a_sq * res[:-1] ** 2 - gap - 1e-9 * (1.0 + d0**2), initial=0.0))
 
     checks = (
         DiagnosticCheck("distance_nonincreasing", worst_mono <= 0.0, worst_mono),

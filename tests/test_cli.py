@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coupledfix import (
     KRASNOSELSKIJ_DIAGONAL,
@@ -260,6 +262,54 @@ class TestSpecLoader:
         without = capsys.readouterr().out
         assert run_cli(*argv, "--theta", "0.9") == 0
         assert capsys.readouterr().out == without
+
+
+finite_doubles = st.floats(allow_nan=False, allow_infinity=False)
+number_vectors = st.lists(finite_doubles, min_size=1, max_size=6)
+number_matrices = st.integers(min_value=1, max_value=4).flatmap(
+    lambda cols: st.lists(st.lists(finite_doubles, min_size=cols, max_size=cols), min_size=1, max_size=4)
+)
+
+
+def float_hexes(value):
+    return [float_hexes(v) for v in value] if isinstance(value, list) else float(value).hex()
+
+
+class TestValueGrammar:
+    @pytest.mark.parametrize(
+        "literal",
+        [
+            "[1j]", '["1"]', "[true]", "[null]", '[{"a": 1}]', "[NaN]", "[-Infinity]",
+            "[.5]", "[1.]", "[+1]", "[1, 2,]", "[(1, 2)]", "[True]", "['1']", "[None]",
+        ],
+    )
+    def test_only_json_numbers_in_arrays(self, capsys, literal):
+        assert run_cli("run", "--operator", "example_4_1", "--x0", literal) == 1
+        err = capsys.readouterr().err
+        assert f"x0: malformed array literal {literal!r}" in err
+        assert "Traceback" not in err
+
+    def test_non_number_matrix_entry_in_file(self, tmp_path, capsys):
+        p = tmp_path / "problem.txt"
+        p.write_text(
+            'operator = linear\na_matrix = [[0.5, "a"]]\nb_matrix = [[0.25]]\n'
+            "shift = [0.0]\nlower = [-1]\nupper = [1]\nx0 = [0]\n"
+        )
+        assert run_cli("run", "--problem", str(p)) == 1
+        err = capsys.readouterr().err
+        assert "a_matrix" in err
+        assert "Traceback" not in err
+
+    @settings(deadline=None, max_examples=200)
+    @given(number_vectors, number_matrices)
+    @example([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308], [[2.2250738585072014e-308]])
+    def test_repr_and_json_round_trip_exactly(self, tmp_path_factory, vector, matrix):
+        p = tmp_path_factory.mktemp("grammar") / "problem.txt"
+        for write in (repr, json.dumps):
+            p.write_text(f"x0 = {write(vector)}\na_matrix = {write(matrix)}\n")
+            values = parse_problem_file(str(p))
+            assert float_hexes(values["x0"]) == float_hexes(vector)
+            assert float_hexes(values["a_matrix"]) == float_hexes(matrix)
 
 
 class TestAnalyze:

@@ -204,8 +204,12 @@ class TestLimitsMatchIterates:
         assert norm(it.y - lim.y) <= 1e-10
 
     def test_trace_matches_per_index_calls(self):
-        h = OracleHandle(DOUBLE_KRASNOSELSKIJ_EXAMPLE_2_1, [0.5], [0.25], lam=0.35)
-        tr = oracle_trace(h, 40)
-        assert len(tr) == 41
-        for n, pair in enumerate(tr):
-            assert pair == oracle_iterate(h, n)
+        for h in (
+            OracleHandle(PICARD_EXAMPLE_2_1, [0.5], [0.25]),
+            OracleHandle(KRASNOSELSKIJ_EXAMPLE_4_1, [0.5], lam=0.35),
+            OracleHandle(DOUBLE_KRASNOSELSKIJ_EXAMPLE_2_1, [0.5], [0.25], lam=0.35),
+        ):
+            tr = oracle_trace(h, 400)
+            assert len(tr) == 401
+            for n, pair in enumerate(tr):
+                assert pair == oracle_iterate(h, n), (h.kind, n)

@@ -39,6 +39,31 @@ def traces_equal(t1, t2):
     return t1 == t2
 
 
+def escaper():
+    # Claims to be a self-map but pushes points outside its box.
+    return BivariateOperator(
+        name="escaper", domain=Box([-1.0], [1.0]), evaluator=lambda x, y: x + 1.5, range_in_domain=True
+    )
+
+
+def undefined_outside():
+    return BivariateOperator(
+        name="undefined_outside",
+        domain=Box([-1.0], [1.0]),
+        evaluator=lambda x, y: np.where(np.abs(x) <= 1.0, 1.5 * x, np.nan),
+        range_in_domain=True,
+    )
+
+
+def blowup():
+    return BivariateOperator(
+        name="blowup",
+        domain=Box([-np.finfo(float).max], [np.finfo(float).max]),
+        evaluator=lambda x, y: x * 1e250,
+        range_in_domain=True,
+    )
+
+
 class TestConfigValidation:
     def test_bad_scheme(self):
         with pytest.raises(ValueError, match="scheme"):
@@ -444,3 +469,71 @@ class TestRelaxedMapNonexpansive:
                     ty = (1.0 - theta) * y + theta * f.eval(y, y)
                     d0 = norm(x - y)
                     assert norm(tx - ty) <= d0 + 1e-9 * (1.0 + d0)
+
+
+# (operator, scheme, x0, y0, config) -> (status, n_steps, recorded entries,
+# final x, final y and final residual as float.hex). Every run is 1-D, so
+# no BLAS kernel enters the arithmetic.
+PINNED_RUNS = {
+    "diagonal_example_2_1": (
+        "example_2_1", KRASNOSELSKIJ_DIAGONAL, [0.6], None, dict(theta=0.3, tol=1e-12, max_iter=500),
+        ("converged", 54, 55, "0x1.61d33582f7a3dp-41", "0x1.61d33582f7a3dp-41", "0x1.d7c447594a2fcp-41"),
+    ),
+    "double_example_2_1": (
+        "example_2_1", KRASNOSELSKIJ_DOUBLE, [0.1], [0.9], dict(theta=0.3, tol=1e-12, max_iter=500),
+        ("converged", 54, 55, "-0x1.99999999974acp-2", "0x1.999999999be62p-2", "0x1.8928000000000p-41"),
+    ),
+    "picard_example_2_1": (
+        "example_2_1", PICARD_DOUBLE, [1.0], [0.0], dict(tol=1e-12, max_iter=200),
+        ("converged", 25, 26, "0x1.fffffffffd678p-2", "-0x1.00000000014c3p-1", "0x1.baf0000000000p-41"),
+    ),
+    "diagonal_example_4_1": (
+        "example_4_1", KRASNOSELSKIJ_DIAGONAL, [0.7], None, dict(theta=0.3, tol=1e-12, max_iter=500),
+        ("converged", 31, 32, "0x1.6b75f5af39235p-42", "0x1.6b75f5af39235p-42", "0x1.6b75f5af39235p-41"),
+    ),
+    "double_example_4_1": (
+        "example_4_1", KRASNOSELSKIJ_DOUBLE, [0.8], [-0.45], dict(theta=0.35, tol=1e-12, max_iter=500),
+        ("converged", 64, 65, "0x1.75f13c8dc8cc7p-41", "-0x1.75f13c8dc8cc7p-41", "0x1.75f13c8dc8cc7p-41"),
+    ),
+    "picard_example_4_1": (
+        "example_4_1", PICARD_DOUBLE, [0.8], [-0.45], dict(tol=1e-12, max_iter=200),
+        ("max_iter_reached", 3, 4, "-0x1.6666666666667p-3", "-0x1.6666666666667p-3", "0x1.6666666666667p-2"),
+    ),
+    "guarded_example_2_2": (
+        "example_2_2", KRASNOSELSKIJ_DIAGONAL, [3.0], None, dict(theta=0.5, max_iter=50, guard_domain=True),
+        ("converged", 1, 2, "-0x1.0000000000000p+2", "-0x1.0000000000000p+2", "0x0.0p+0"),
+    ),
+    "picard_two_cycle": (
+        "example_4_1", PICARD_DOUBLE, [1.0], [1.0], dict(max_iter=1000),
+        ("max_iter_reached", 2, 3, "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+1"),
+    ),
+    "left_domain_lying_metadata": (
+        escaper, KRASNOSELSKIJ_DIAGONAL, [0.5], None, dict(theta=0.9, max_iter=50),
+        ("left_domain", 1, 2, "0x1.d99999999999ap+0", "0x1.d99999999999ap+0", "0x1.8000000000000p+0"),
+    ),
+    "left_domain_undefined_outside": (
+        undefined_outside, KRASNOSELSKIJ_DIAGONAL, [0.9], None, dict(theta=0.9, max_iter=50),
+        ("left_domain", 0, 1, "0x1.ccccccccccccdp-1", "0x1.ccccccccccccdp-1", "0x1.ccccccccccccep-2"),
+    ),
+    "diverged_nonfinite": (
+        blowup, KRASNOSELSKIJ_DIAGONAL, [1.0], None, dict(theta=0.9, max_iter=50),
+        ("diverged_nonfinite", 0, 1, "0x1.0000000000000p+0", "0x1.0000000000000p+0", "inf"),
+    ),
+    "thinned_cap_50": (
+        "example_4_1", KRASNOSELSKIJ_DIAGONAL, [1.0], None, dict(theta=1e-5, tol=1e-300, max_iter=2000),
+        ("max_iter_reached", 2000, 50, "0x1.ebec8b01b67e2p-1", "0x1.ebec8b01b67e2p-1", "0x1.ebec8b01b67e2p+0"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_pinned_final_bits(name, monkeypatch):
+    operator, scheme, x0, y0, kw, expected = PINNED_RUNS[name]
+    if name.startswith("thinned"):
+        monkeypatch.setattr(iteration_mod, "TRACE_CAP", 50)
+    f = get_operator(operator) if isinstance(operator, str) else operator()
+    with np.errstate(over="ignore"):
+        tr = run_scheme(f, cfg(scheme, **kw), x0, y0)
+    fp = tr.final_pair
+    got = (tr.status, tr.n_steps, len(tr.step_indices), fp.x[0].hex(), fp.y[0].hex(), float(tr.final_residual).hex())
+    assert got == expected
