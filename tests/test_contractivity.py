@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -261,3 +262,80 @@ class TestDrawQuadruples:
     def test_deterministic(self):
         f = get_operator("example_2_1")
         assert np.array_equal(draw_quadruples(f, 50, 6), draw_quadruples(f, 50, 6))
+
+
+# ---------------------------------------------------------------- pinned reports
+
+
+def _dyadic_linear(d):
+    # Entries are multiples of 1/(16 d), so the matrices hold exactly and
+    # ||A|| + ||B|| <= ||A||_F + ||B||_F <= 1/2 + 1/2: never refuted by a + b.
+    rng = np.random.default_rng(100 + d)
+    a = rng.integers(-8, 9, size=(d, d)) / (16.0 * d)
+    b = rng.integers(-8, 9, size=(d, d)) / (16.0 * d)
+    c = rng.integers(-8, 9, size=d) / 16.0
+    return make_linear_operator(a, b, c, Box(-2.0 * np.ones(d), 2.0 * np.ones(d)), name=f"linear_{d}")
+
+
+def _narrow_box():
+    # Width 3e-12: a pair lands closer than MIN_SEPARATION = 1e-12 with
+    # probability 1 - (2/3)^2 = 5/9, so most samples are resampled.
+    return BivariateOperator(
+        name="narrow", domain=Box([0.0], [3e-12]), evaluator=lambda x, y: (x - 2.0 * y) / 3.0
+    )
+
+
+PINNED_OPERATORS = {
+    "example_2_1": lambda: get_operator("example_2_1"),
+    "example_2_2": lambda: get_operator("example_2_2"),
+    "example_4_1": lambda: get_operator("example_4_1"),
+    "linear_1": lambda: _dyadic_linear(1),
+    "linear_10": lambda: _dyadic_linear(10),
+    "narrow": _narrow_box,
+}
+PINNED_RUNS = [(1, 0), (1, 42), (7, 0), (7, 1), (7, 42), (400, 0), (400, 1), (400, 42), (5000, 3)]
+
+# First 16 hex digits of sha256(report_to_json(analyze_operator(f, n, seed))),
+# keyed by (n, seed), one row per operator.
+PINNED_REPORT_DIGESTS = {
+    "example_2_1": [
+        "ebadd129b36f92f2", "30cbfb0a5d0bb51e", "ecec231c21f5c46e",
+        "f88938fccc41b26e", "f7ed35bbebad1863", "d101e3f5cd5d15dc",
+        "7407cd5fc4fbddf3", "ece19ed84d1a9cc8", "3625560fe735bc2d",
+    ],
+    "example_2_2": [
+        "d507f681195bdec1", "5054bd649e84df38", "e2364dc7ea0a73e1",
+        "4b69fc8110757218", "a2d1ec338af5dc85", "f1b7804ca3eeae41",
+        "ec0b0fc51db125f4", "4cc87cc9ee6511be", "70745ba1fd674102",
+    ],
+    "example_4_1": [
+        "fb2248622848d581", "dc83db677c35658a", "d9f2d66c16317fab",
+        "94f5d537f97a6428", "6896fb0f9057e91c", "f6dcda8e91c4b9b6",
+        "0ddddba22ee00f3c", "2603a64acb271d02", "fc6d45df1a48fe54",
+    ],
+    "linear_1": [
+        "6d53d9f7d67b380e", "72d2f59643bff92e", "118722ae89beec79",
+        "b93569fb2923f027", "555704307126bbc8", "f64cce7e1a3af215",
+        "eab8a300a69d42c0", "13b874677ecf53b7", "1739885edaa4a666",
+    ],
+    "linear_10": [
+        "38cab74488f67fd5", "0255f2328445cc20", "67ee3e5e747fd071",
+        "15e15471be1e1649", "310203071300f151", "b9f6ee29eab87c0e",
+        "4df2827498ffd85f", "451d46d4a884c109", "621b5773f62e390e",
+    ],
+    "narrow": [
+        "31dfb4762674d2c5", "ba717d38d79ee043", "d710cc0a7e2890cf",
+        "62c0ff07bfdaaf04", "3aa61c1bfffd3973", "f5bc9130dca2da3a",
+        "45acc37653fef49c", "c8d2d8d46efbb967", "a402cb9866bc2d49",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OPERATORS))
+def test_pinned_report_digests(name):
+    f = PINNED_OPERATORS[name]()
+    got = [
+        hashlib.sha256(report_to_json(analyze_operator(f, n, seed)).encode()).hexdigest()[:16]
+        for n, seed in PINNED_RUNS
+    ]
+    assert got == PINNED_REPORT_DIGESTS[name]
