@@ -1,5 +1,6 @@
 import hashlib
 import json
+import signal
 
 import numpy as np
 import pytest
@@ -70,6 +71,24 @@ class TestEstimateConstants:
         with pytest.raises(ValueError, match="cannot vary arguments"):
             estimate_constants(f, 10, seed=0)
 
+    def test_box_narrower_than_min_separation_rejected_promptly(self):
+        # No pair drawn from a box of diameter 1e-13 is MIN_SEPARATION = 1e-12
+        # apart, so resampling could never end: reject the domain up front.
+        f = BivariateOperator(name="tiny", domain=Box([0.0], [1e-13]), evaluator=lambda x, y: x)
+        assert not f.domain.is_degenerate()
+
+        def too_slow(signum, frame):
+            raise TimeoutError("estimate_constants did not return within 2 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            with pytest.raises(ValueError, match="MIN_SEPARATION"):
+                estimate_constants(f, 10, seed=0)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+
     def test_sample_count_validated(self):
         with pytest.raises(ValueError, match="n_samples"):
             estimate_constants(get_operator("example_2_1"), 0, seed=0)
@@ -136,6 +155,22 @@ class TestClassify:
         assert REFUTED_NONEXPANSIVE in report.classification
         assert REFUTED_CONTRACTION in report.classification
         assert not report.boundary
+
+    def test_axis_hats_above_the_simplex_refute_weak_nonexpansiveness(self):
+        # F(x, y) = (0.6 x1, 0.6 y2): no single quadruple breaks the max bound
+        # (||dF|| <= 0.6 sqrt(2) max), but the axis witnesses force a, b >= 0.6,
+        # so no admissible pair has a + b <= 1.
+        f = make_linear_operator(
+            np.diag([0.6, 0.0]), np.diag([0.0, 0.6]), np.zeros(2), Box([-1.0, -1.0], [1.0, 1.0])
+        )
+        report = analyze_operator(f, 5_000, seed=0)
+        assert report.a_hat + report.b_hat > 1.0 + MARGIN
+        assert REFUTED_WEAKLY_NONEXPANSIVE in report.classification
+        assert WEAKLY_NONEXPANSIVE_CANDIDATE not in report.classification
+        assert not report.boundary
+        kinds = {w.kind: w for w in report.violations}
+        assert WITNESS_WEAKLY_NONEXPANSIVE not in kinds
+        assert witness_ratio(f, kinds[WITNESS_AXIS_A]) + witness_ratio(f, kinds[WITNESS_AXIS_B]) > 1.0 + MARGIN
 
     def test_constant_operator_all_candidates(self):
         f = constant_operator()

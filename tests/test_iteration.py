@@ -298,6 +298,20 @@ class TestDomainHandling:
         assert tr.n_steps == 0
         assert tr.final_pair == CoupledPair([0.9], [0.9])
 
+    def test_wrong_output_dimension_propagates_after_step_zero(self):
+        # Halves x until |x| <= 0.1, then returns two coordinates: an evaluator
+        # defect, not a divergence, so no status may absorb it.
+        import coupledfix
+
+        f = BivariateOperator(
+            name="shrinking",
+            domain=Box([-1.0], [1.0]),
+            evaluator=lambda x, y: 0.5 * x if abs(x[0]) > 0.1 else np.zeros(2),
+            range_in_domain=True,
+        )
+        with pytest.raises(coupledfix.OutputDimensionError):
+            picard_double(f, [1.0], [1.0], cfg(PICARD_DOUBLE, max_iter=50))
+
     def test_nonfinite_step_diverges(self):
         f = BivariateOperator(
             name="blowup",
@@ -415,6 +429,26 @@ class TestFejerMonotonicity:
             assert report.check("distance_nonincreasing").passed is True
             assert report.check("residual_energy_bound").passed is True
 
+    def test_overflowing_distances_fail_the_check(self):
+        # F = 2x, declared a self-map of [-max, max]: from 1e200 each relaxed
+        # step at theta = 0.5 multiplies x by 1.5. Squared distances overflow,
+        # which must count as a violation, not be skipped.
+        big = np.finfo(float).max
+        f = BivariateOperator(
+            name="doubling", domain=Box([-big], [big]), evaluator=lambda x, y: 2.0 * x, range_in_domain=True
+        )
+        tr = krasnoselskij_diagonal(f, [1e200], cfg(KRASNOSELSKIJ_DIAGONAL, theta=0.5, max_iter=20))
+        assert tr.final_pair.x[0] > 3e203
+        assert tr.residuals[0] == 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = verify_fejer_monotonicity(tr, [0.0])
+        assert report.passed is False
+        for name in ("distance_nonincreasing", "residual_energy_bound"):
+            check = report.check(name)
+            assert check.passed is False
+            assert check.worst_violation == float("inf")
+            assert "non-finite" in check.detail
+
     def test_rejects_picard_traces(self):
         f = get_operator("example_2_1")
         tr = picard_double(f, [1.0], [0.0], cfg(PICARD_DOUBLE, max_iter=20))
@@ -517,7 +551,7 @@ PINNED_RUNS = {
     ),
     "diverged_nonfinite": (
         blowup, KRASNOSELSKIJ_DIAGONAL, [1.0], None, dict(theta=0.9, max_iter=50),
-        ("diverged_nonfinite", 0, 1, "0x1.0000000000000p+0", "0x1.0000000000000p+0", "inf"),
+        ("diverged_nonfinite", 0, 1, "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.658e3ab795204p+830"),
     ),
     "thinned_cap_50": (
         "example_4_1", KRASNOSELSKIJ_DIAGONAL, [1.0], None, dict(theta=1e-5, tol=1e-300, max_iter=2000),

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import coupledfix
+
 from coupledfix import (
     BivariateOperator,
     Box,
@@ -41,6 +43,22 @@ class TestEval:
         )
         with np.errstate(over="ignore"), pytest.raises(NonFiniteEvaluationError):
             bad.eval([1.0], [1.0])
+
+    def test_wrong_output_dimension_has_its_own_error(self):
+        wide = BivariateOperator(name="wide", domain=Box([-1.0], [1.0]), evaluator=lambda x, y: np.zeros(2))
+        with pytest.raises(coupledfix.OutputDimensionError, match="returned") as info:
+            wide.eval([0.5], [0.5])
+        assert isinstance(info.value, ValueError)
+        assert not isinstance(info.value, NonFiniteEvaluationError)
+
+    def test_block_from_a_non_broadcasting_evaluator_rejected(self):
+        # Reads only the first row: fine on a vector, wrong on a block of rows.
+        first_row = BivariateOperator(
+            name="first_row", domain=Box([-1.0], [1.0]), evaluator=lambda x, y: np.array([x[0] - y[0]])
+        )
+        assert first_row.eval([0.5], [0.25]) == pytest.approx([0.25], abs=0)
+        with pytest.raises(coupledfix.OutputDimensionError, match="returned"):
+            first_row.eval(np.zeros((3, 1)), np.ones((3, 1)))
 
     def test_deterministic(self):
         f = get_operator("example_2_2")

@@ -58,6 +58,22 @@ class TestNorm:
     def test_absolute_value(self):
         assert norm([-2.0]) == 2.0
 
+    def test_no_overflow_above_sqrt_of_max(self):
+        assert norm([1e200]) == 1e200
+        assert norm([-1e250]) == 1e250
+        assert norm([3e200, 4e200]) == pytest.approx(5e200, rel=1e-15)
+        assert norm([np.finfo(float).max, 0.0]) == np.finfo(float).max
+
+    def test_row_form_matches_norm_bitwise(self):
+        from coupledfix.space import _norm, _row_norms
+
+        rng = np.random.default_rng(5)
+        for d in (1, 2, 3, 10, 100, 257):
+            rows = rng.standard_normal((200, d)) * rng.choice([1e-160, 1.0, 1e100, 1e160, 1e300], size=(200, 1))
+            got = _row_norms(rows)
+            assert got.shape == (200,)
+            assert [v.hex() for v in got.tolist()] == [_norm(r).hex() for r in rows]
+
     @given(vectors())
     def test_zero_iff_zero(self, x):
         # Squaring underflows below ~1e-154, the double-precision floor.
