@@ -64,6 +64,7 @@ from .operators import (
     BivariateOperator,
     CoupledPair,
     NonFiniteEvaluationError,
+    OutputDimensionError,
     example_2_1,
     example_2_2,
     example_4_1,
@@ -92,8 +93,8 @@ __all__ = [
     "convex_identity_defect", "project_box",
     # operators
     "BivariateOperator", "CoupledPair", "NonFiniteEvaluationError",
-    "is_coupled_fixed_point", "make_linear_operator", "get_operator",
-    "operator_names", "example_2_1", "example_2_2", "example_4_1",
+    "OutputDimensionError", "is_coupled_fixed_point", "make_linear_operator",
+    "get_operator", "operator_names", "example_2_1", "example_2_2", "example_4_1",
     # contractivity
     "ContractivityReport", "Witness", "estimate_constants", "classify",
     "draw_quadruples", "analyze_operator", "witness_ratio",

@@ -33,13 +33,14 @@ sequential one; this implementation is sequential.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .operators import BivariateOperator
-from .space import Box, _norm
+from .space import Box, _norm, _row_norms
 
 __all__ = [
     "MARGIN",
@@ -67,6 +68,10 @@ __all__ = [
 
 MARGIN = 1e-9
 MIN_SEPARATION = 1e-12
+
+# Rows per block of draws. Memory stays bounded at any sample count, and the
+# reports do not depend on it: the draws are the same whatever the block size.
+_CHUNK = 4096
 
 CONTRACTION_CANDIDATE = "contraction_candidate"
 WEAKLY_NONEXPANSIVE_CANDIDATE = "weakly_nonexpansive_candidate"
@@ -134,36 +139,54 @@ def _uniform_in_box(rng: np.random.Generator, box: Box, shape: tuple[int, ...]) 
     return rng.uniform(box.lower, box.upper, size=shape + (box.dim,))
 
 
+def _blocks(box: Box, n_samples: int, seed: int, phase: int, width: int):
+    """Stream ``phase`` of the draws as (m, width, d) blocks of at most _CHUNK rows."""
+    rng = np.random.default_rng([seed, phase])
+    for start in range(0, n_samples, _CHUNK):
+        yield _uniform_in_box(rng, box, (min(_CHUNK, n_samples - start), width))
+
+
+def _pick(values: np.ndarray, best) -> int:
+    """Index that ``for v in values: if best is None or v > best: best = v`` ends on, or -1.
+
+    The first maximum wins. NaN compares above nothing and nothing compares
+    above it, so a NaN is picked only as the first value of a whole scan.
+    """
+    if values.size == 0:
+        return -1
+    if best is None and np.isnan(values[0]):
+        return 0
+    ordered = np.where(np.isnan(values), -np.inf, values)
+    i = int(np.argmax(ordered))
+    return i if best is None or ordered[i] > best else -1
+
+
 def _axis_scan(f: BivariateOperator, n_samples: int, seed: int, phase: int):
     """Max axis ratio over n_samples draws; returns (hat, argmax witness)."""
     box = f.domain
-    draws = _uniform_in_box(np.random.default_rng([seed, phase]), box, (n_samples, 3))
-    hat = 0.0
-    best = None
-    for i in range(n_samples):
-        shared, p, q = draws[i]
-        dist = _norm(p - q)
-        attempt = 0
-        while dist < MIN_SEPARATION:
+    hat = None
+    start = 0
+    for draws in _blocks(box, n_samples, seed, phase, 3):
+        shared, p, q = draws[:, 0], draws[:, 1], draws[:, 2]
+        dist = _row_norms(p - q)
+        for j in np.flatnonzero(dist < MIN_SEPARATION).tolist():
             # Nearly coincident draw: resample this pair from a dedicated
             # per-sample stream so other samples are unaffected.
-            sub = np.random.default_rng([seed, 10 + phase, i, attempt])
-            p, q = _uniform_in_box(sub, box, (2,))
-            dist = _norm(p - q)
-            attempt += 1
-        if phase == 0:
-            df = _norm(f.eval(p, shared) - f.eval(q, shared))
-            quad = (p, shared, q, shared)
-        else:
-            df = _norm(f.eval(shared, p) - f.eval(shared, q))
-            quad = (shared, p, shared, q)
-        ratio = df / dist
-        if best is None or ratio > hat:
-            hat = ratio
-            best = quad
+            attempt = 0
+            while dist[j] < MIN_SEPARATION:
+                sub = np.random.default_rng([seed, 10 + phase, start + j, attempt])
+                p[j], q[j] = _uniform_in_box(sub, box, (2,))
+                dist[j] = _norm(p[j] - q[j])
+                attempt += 1
+        quad = (p, shared, q, shared) if phase == 0 else (shared, p, shared, q)
+        ratio = _row_norms(f.eval(quad[0], quad[1]) - f.eval(quad[2], quad[3])) / dist
+        i = _pick(ratio, hat)
+        if i >= 0:
+            hat = float(ratio[i])
+            best = tuple(c[i].copy() for c in quad)
+        start += len(draws)
     kind = WITNESS_AXIS_A if phase == 0 else WITNESS_AXIS_B
-    witness = Witness(kind, *(c.copy() for c in best), ratio=hat)
-    return hat, witness
+    return hat, Witness(kind, *best, ratio=hat)
 
 
 def estimate_constants(f: BivariateOperator, n_samples: int, seed: int) -> ContractivityReport:
@@ -180,6 +203,12 @@ def estimate_constants(f: BivariateOperator, n_samples: int, seed: int) -> Contr
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if f.domain.is_degenerate():
         raise ValueError(f"operator {f.name!r} has a single-point domain: cannot vary arguments")
+    diameter = _norm(f.domain.upper - f.domain.lower)
+    if diameter < MIN_SEPARATION:
+        raise ValueError(
+            f"operator {f.name!r} has a domain of diameter {diameter:g}, below "
+            f"MIN_SEPARATION = {MIN_SEPARATION:g}: no two samples can be that far apart"
+        )
     a_hat, wa = _axis_scan(f, n_samples, seed, phase=0)
     b_hat, wb = _axis_scan(f, n_samples, seed, phase=1)
     return ContractivityReport(
@@ -206,59 +235,62 @@ def classify(
     """Label the operator against the three contractivity conditions.
 
     Scans the stored axis witnesses plus every general quadruple for
-    certificates violating the nonexpansiveness inequalities; decides the
-    strict-contraction question from a_hat + b_hat alone. Returns a new
-    report carrying the label set, any refutation witnesses, and the
-    boundary flag.
+    certificates violating the nonexpansiveness inequalities. Decides the
+    strict-contraction question from a_hat + b_hat alone, and refutes weak
+    nonexpansiveness from it as well when a_hat + b_hat > 1 + MARGIN, with
+    the axis witnesses as the certificate. Returns a new report carrying
+    the label set, any refutation witnesses, and the boundary flag.
     """
     if report.operator_name != f.name:
         raise ValueError(
             f"report is for operator {report.operator_name!r}, classify got {f.name!r}"
         )
+    quads = np.asarray(general_samples, dtype=float)
+    return _classify_blocks(report, (quads[i : i + _CHUNK] for i in range(0, len(quads), _CHUNK)), f)
 
-    best_weak = None  # (margin, quad, ratio)
-    best_nonexp = None
-    candidates = [(w.x, w.y, w.u, w.v) for w in report.violations]
-    candidates.extend((q[0], q[1], q[2], q[3]) for q in general_samples)
-    n_general = len(candidates) - len(report.violations)
 
-    for x, y, u, v in candidates:
-        df = _norm(f.eval(x, y) - f.eval(u, v))
-        du = _norm(x - u)
-        dv = _norm(y - v)
-        hi = max(du, dv)
-        if hi > 0.0:
-            margin = df - hi
-            if best_weak is None or margin > best_weak[0]:
-                best_weak = (margin, (x, y, u, v), df / hi)
-        mean = (du + dv) / 2.0
-        if mean > 0.0:
-            margin = df - mean
-            if best_nonexp is None or margin > best_nonexp[0]:
-                best_nonexp = (margin, (x, y, u, v), df / mean)
+def _classify_blocks(report: ContractivityReport, blocks, f: BivariateOperator) -> ContractivityReport:
+    """:func:`classify` with the general quadruples given as (m, 4, d) blocks."""
+    # Per violation kind: (margin, quad, ratio) at the first largest margin.
+    best = {WITNESS_WEAKLY_NONEXPANSIVE: None, WITNESS_NONEXPANSIVE: None}
+    stored = [np.array([(w.x, w.y, w.u, w.v) for w in report.violations])] if report.violations else []
+    scanned = 0
+    for block in itertools.chain(stored, blocks):
+        x, y, u, v = block[:, 0], block[:, 1], block[:, 2], block[:, 3]
+        df = _row_norms(f.eval(x, y) - f.eval(u, v))
+        du = _row_norms(x - u)
+        dv = _row_norms(y - v)
+        for kind, rhs in ((WITNESS_WEAKLY_NONEXPANSIVE, np.maximum(du, dv)), (WITNESS_NONEXPANSIVE, (du + dv) / 2.0)):
+            rows = np.flatnonzero(rhs > 0.0)
+            margin = df[rows] - rhs[rows]
+            held = best[kind]
+            j = _pick(margin, None if held is None else held[0])
+            if j >= 0:
+                i = rows[j]
+                best[kind] = (float(margin[j]), tuple(c[i].copy() for c in (x, y, u, v)), float(df[i] / rhs[i]))
+        scanned += len(block)
 
     labels: set[str] = set()
     witnesses = list(report.violations)
+    total = report.a_hat + report.b_hat
 
-    if best_weak is not None and best_weak[0] > MARGIN:
+    weak = best[WITNESS_WEAKLY_NONEXPANSIVE]
+    if weak is not None and weak[0] > MARGIN:
         labels.add(REFUTED_WEAKLY_NONEXPANSIVE)
-        quad = best_weak[1]
-        witnesses.append(
-            Witness(WITNESS_WEAKLY_NONEXPANSIVE, *(c.copy() for c in quad), ratio=best_weak[2])
-        )
+        witnesses.append(Witness(WITNESS_WEAKLY_NONEXPANSIVE, *weak[1], ratio=weak[2]))
+    elif total > 1.0 + MARGIN:
+        # The axis witnesses force a >= a_hat and b >= b_hat on any admissible pair.
+        labels.add(REFUTED_WEAKLY_NONEXPANSIVE)
     else:
         labels.add(WEAKLY_NONEXPANSIVE_CANDIDATE)
 
-    if best_nonexp is not None and best_nonexp[0] > MARGIN:
+    nonexp = best[WITNESS_NONEXPANSIVE]
+    if nonexp is not None and nonexp[0] > MARGIN:
         labels.add(REFUTED_NONEXPANSIVE)
-        quad = best_nonexp[1]
-        witnesses.append(
-            Witness(WITNESS_NONEXPANSIVE, *(c.copy() for c in quad), ratio=best_nonexp[2])
-        )
+        witnesses.append(Witness(WITNESS_NONEXPANSIVE, *nonexp[1], ratio=nonexp[2]))
     else:
         labels.add(NONEXPANSIVE_CANDIDATE)
 
-    total = report.a_hat + report.b_hat
     if total >= 1.0 - MARGIN:
         labels.add(REFUTED_CONTRACTION)
     else:
@@ -269,14 +301,19 @@ def classify(
         classification=frozenset(labels),
         violations=tuple(witnesses),
         boundary=abs(total - 1.0) <= MARGIN,
-        samples_used=report.samples_used + n_general,
+        samples_used=report.samples_used + scanned - len(report.violations),
     )
 
 
 def analyze_operator(f: BivariateOperator, n_samples: int, seed: int) -> ContractivityReport:
-    """Estimate constants and classify in one pass (the CLI's analyze command)."""
+    """Estimate constants and classify in one pass (the CLI's analyze command).
+
+    Equal to ``classify(report, draw_quadruples(f, n_samples, seed), f)``,
+    but draws the general quadruples block by block, so memory stays
+    bounded at any sample count.
+    """
     report = estimate_constants(f, n_samples, seed)
-    return classify(report, draw_quadruples(f, n_samples, seed), f)
+    return _classify_blocks(report, _blocks(f.domain, int(n_samples), seed, 2, 4), f)
 
 
 def report_to_dict(report: ContractivityReport) -> dict:

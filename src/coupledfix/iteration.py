@@ -34,6 +34,7 @@ runs share no mutable state and may execute concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -393,7 +394,10 @@ def verify_fejer_monotonicity(trace: IterationTrace, p) -> DiagnosticReport:
     distance D_n = sqrt(||x_n - p||^2 + ||y_n - q||^2): the map
     T(x, y) = (F(x, y), F(y, x)) is nonexpansive in the product norm when
     a + b <= 1, and r_n is at most the product residual, so both
-    inequalities hold there. Raises for traces not produced by a relaxed
+    inequalities hold there. A term that is not finite (a distance or
+    residual past about 1.3e154 overflows once squared) cannot be checked:
+    it counts as a violation of inf, and the check's ``detail`` says how
+    many there were. Raises for traces not produced by a relaxed
     (Krasnoselskij-type) scheme.
     """
     cfg = trace.scheme_config
@@ -415,18 +419,24 @@ def verify_fejer_monotonicity(trace: IterationTrace, p) -> DiagnosticReport:
     a_sq = theta * (1.0 - theta)
     res = np.asarray(trace.residuals, dtype=float)
 
-    # Worst violation over consecutive entries, 0.0 when none is positive;
-    # NaN (inf - inf, once squared distances overflow) is skipped.
     d0, d1 = dists[:-1], dists[1:]
-    worst_mono = float(np.nanmax(d1 - d0 - 1e-12 * (1.0 + d0), initial=0.0))
-    gap = d0**2 - d1**2
-    worst_ineq = float(np.nanmax(a_sq * res[:-1] ** 2 - gap - 1e-9 * (1.0 + d0**2), initial=0.0))
-
-    checks = (
-        DiagnosticCheck("distance_nonincreasing", worst_mono <= 0.0, worst_mono),
-        DiagnosticCheck("residual_energy_bound", worst_ineq <= 0.0, worst_ineq),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        checks = (
+            _worst_violation("distance_nonincreasing", d1 - d0 - 1e-12 * (1.0 + d0)),
+            _worst_violation("residual_energy_bound", a_sq * res[:-1] ** 2 - (d0**2 - d1**2) - 1e-9 * (1.0 + d0**2)),
+        )
     return DiagnosticReport(all(c.passed for c in checks), checks)
+
+
+def _worst_violation(name: str, terms: np.ndarray) -> DiagnosticCheck:
+    # Worst violation over consecutive entries, 0.0 when none is positive. A
+    # non-finite term (a distance or residual above about 1.3e154 overflows
+    # once squared) cannot be checked, so it counts as a violation of inf.
+    unchecked = int(np.count_nonzero(~np.isfinite(terms)))
+    if unchecked:
+        return DiagnosticCheck(name, False, math.inf, f"{unchecked} non-finite term(s) counted as violations of inf")
+    worst = float(np.max(terms, initial=0.0))
+    return DiagnosticCheck(name, worst <= 0.0, worst)
 
 
 def verify_residual_decay(trace: IterationTrace) -> DiagnosticReport:

@@ -36,10 +36,11 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .space import Box, as_vector, norm
+from .space import Box, _as_rows, as_vector, norm
 
 __all__ = [
     "NonFiniteEvaluationError",
+    "OutputDimensionError",
     "CoupledPair",
     "BivariateOperator",
     "is_coupled_fixed_point",
@@ -54,6 +55,14 @@ __all__ = [
 
 class NonFiniteEvaluationError(ValueError):
     """An operator produced NaN/Inf output: an operator defect, not an input error."""
+
+
+class OutputDimensionError(ValueError):
+    """An evaluator returned an array whose shape differs from its arguments'.
+
+    A defect of the evaluator (for example one that reads only the first row
+    of a block), not a property of the iterates: no run status absorbs it.
+    """
 
 
 @dataclass(eq=False)
@@ -108,22 +117,36 @@ class BivariateOperator:
         return self.domain.dim
 
     def eval(self, x, y) -> np.ndarray:
-        """Evaluate F(x, y); deterministic and side-effect free."""
-        xv = as_vector(x, "x")
-        yv = as_vector(y, "y")
-        d = self.dim
-        if xv.shape[0] != d or yv.shape[0] != d:
+        """Evaluate F at one pair of vectors, or row by row at a block of pairs.
+
+        ``x`` and ``y`` are both vectors of shape (d,), or both numpy arrays
+        of shape (n, d) whose rows are evaluated as n separate pairs. The
+        result has the shape of the arguments. Deterministic and side-effect
+        free.
+        """
+        if getattr(x, "ndim", 1) == 2:
+            xv = _as_rows(x, "x")
+            yv = _as_rows(y, "y")
+            if xv.shape[0] != yv.shape[0]:
+                raise ValueError(f"operator {self.name!r} got blocks of {xv.shape[0]} and {yv.shape[0]} rows")
+            dx, dy = xv.shape[1], yv.shape[1]
+        else:
+            xv = as_vector(x, "x")
+            yv = as_vector(y, "y")
+            dx, dy = xv.shape[0], yv.shape[0]
+        d = self.domain.lower.shape[0]  # self.dim, read without two property calls
+        if dx != d or dy != d:
             raise ValueError(
-                f"operator {self.name!r} has dimension {d}, "
-                f"got arguments of dimension {xv.shape[0]} and {yv.shape[0]}"
+                f"operator {self.name!r} has dimension {d}, got arguments of dimension {dx} and {dy}"
             )
         out = np.asarray(self.evaluator(xv, yv), dtype=float)
-        if out.ndim == 0:
-            out = out.reshape(1)
-        if out.shape[0] != d:
-            raise NonFiniteEvaluationError(
-                f"operator {self.name!r} returned dimension {out.shape[0]}, expected {d}"
-            )
+        if out.shape != xv.shape:
+            if out.ndim == 0 and xv.ndim == 1:
+                out = out.reshape(1)
+            if out.shape != xv.shape:
+                raise OutputDimensionError(
+                    f"operator {self.name!r} returned shape {out.shape}, expected {xv.shape}"
+                )
         if not np.isfinite(out).all():
             raise NonFiniteEvaluationError(f"operator {self.name!r} returned non-finite output")
         return out
@@ -202,7 +225,11 @@ def make_linear_operator(
         known = (CoupledPair(xbar, xbar),)
 
     def evaluator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return a @ x + b @ y + c
+        if x.ndim == 1:
+            return a @ x + b @ y + c
+        # One matrix-vector product per row: equal to ``a @ x`` row by row,
+        # bit for bit, where ``x @ a.T`` (one GEMM) would round differently.
+        return np.matmul(a, x[..., None])[..., 0] + np.matmul(b, y[..., None])[..., 0] + c
 
     return BivariateOperator(
         name=name,

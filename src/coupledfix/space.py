@@ -8,6 +8,7 @@ intervals), which are bounded, closed and convex by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,16 @@ def as_vector(value, name: str = "vector") -> np.ndarray:
     return arr
 
 
+def _as_rows(value, name: str) -> np.ndarray:
+    """Coerce ``value`` to a finite (n, d) float64 block of rows (always a fresh copy)."""
+    arr = np.array(value, dtype=float)
+    if arr.ndim != 2 or arr.size < 1:
+        raise ValueError(f"{name} must be a block of rows (n, d) of reals, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has non-finite coordinates")
+    return arr
+
+
 def _require_same_dim(a: np.ndarray, b: np.ndarray, what: str) -> None:
     if a.shape[0] != b.shape[0]:
         raise ValueError(f"dimension mismatch in {what}: {a.shape[0]} vs {b.shape[0]}")
@@ -49,11 +60,35 @@ def inner(x, y) -> float:
 
 
 def _norm(v: np.ndarray) -> float:
-    return float(np.sqrt(np.dot(v, v)))
+    sq = float(np.dot(v, v))
+    if sq == math.inf:
+        # The square overflowed (the norm exceeds about 1.3e154): scale by
+        # the largest coordinate first. Finite squares keep sqrt(dot) bits.
+        scale = float(np.abs(v).max())
+        if scale == math.inf:
+            return math.inf
+        w = v / scale
+        return scale * math.sqrt(float(np.dot(w, w)))
+    return math.sqrt(sq)
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """``_norm`` of each row of an (n, d) block, bit for bit."""
+    with np.errstate(over="ignore"):
+        sq = np.vecdot(v, v)
+    norms = np.sqrt(sq)
+    big = sq == np.inf
+    if big.any():
+        rows = v[big]
+        scale = np.abs(rows).max(axis=1)
+        with np.errstate(invalid="ignore"):
+            w = rows / scale[:, None]
+            norms[big] = np.where(scale == np.inf, np.inf, scale * np.sqrt(np.vecdot(w, w)))
+    return norms
 
 
 def norm(x) -> float:
-    """Euclidean norm, ``sqrt(inner(x, x))``."""
+    """Euclidean norm, ``sqrt(inner(x, x))``, finite for every finite ``x``."""
     return _norm(as_vector(x, "x"))
 
 

@@ -5,6 +5,8 @@ import signal
 import numpy as np
 import pytest
 
+import coupledfix.contractivity as contractivity_mod
+
 from coupledfix import (
     BivariateOperator,
     Box,
@@ -374,3 +376,14 @@ def test_pinned_report_digests(name):
         for n, seed in PINNED_RUNS
     ]
     assert got == PINNED_REPORT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["example_2_2", "linear_10", "narrow"])
+def test_block_size_does_not_change_reports(name, monkeypatch):
+    f = PINNED_OPERATORS[name]()
+    default = report_to_json(analyze_operator(f, 400, 5))
+    monkeypatch.setattr(contractivity_mod, "_CHUNK", 7)
+    assert report_to_json(analyze_operator(f, 400, 5)) == default
+    # classify on a whole array walks it in blocks of the same size.
+    report = estimate_constants(f, 400, 5)
+    assert report_to_json(classify(report, draw_quadruples(f, 400, 5), f)) == default

@@ -60,6 +60,27 @@ class TestEval:
         with pytest.raises(coupledfix.OutputDimensionError, match="returned"):
             first_row.eval(np.zeros((3, 1)), np.ones((3, 1)))
 
+    @pytest.mark.parametrize("d", [10, 100])
+    def test_linear_block_equals_rows_bitwise(self, d):
+        rng = np.random.default_rng(d)
+        f = random_linear_operator(rng, d=d)
+        x = sample_in_box(rng, f.domain, 64)
+        y = sample_in_box(rng, f.domain, 64)
+        block = f.eval(x, y)
+        assert block.shape == (64, d)
+        rows = np.array([f.eval(xi, yi) for xi, yi in zip(x, y)])
+        assert np.array_equal(block.view(np.int64), rows.view(np.int64))
+
+    def test_block_input_checks(self):
+        f = get_operator("example_2_1")
+        assert f.eval(np.zeros((3, 1)), np.ones((3, 1))).shape == (3, 1)
+        with pytest.raises(ValueError, match="dimension"):
+            f.eval(np.zeros((3, 2)), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="rows"):
+            f.eval(np.zeros((3, 1)), np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="non-finite"):
+            f.eval(np.full((2, 1), np.nan), np.zeros((2, 1)))
+
     def test_deterministic(self):
         f = get_operator("example_2_2")
         a = f.eval([0.3], [-1.2])

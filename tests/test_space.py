@@ -58,12 +58,14 @@ class TestNorm:
     def test_absolute_value(self):
         assert norm([-2.0]) == 2.0
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_no_overflow_above_sqrt_of_max(self):
         assert norm([1e200]) == 1e200
         assert norm([-1e250]) == 1e250
         assert norm([3e200, 4e200]) == pytest.approx(5e200, rel=1e-15)
         assert norm([np.finfo(float).max, 0.0]) == np.finfo(float).max
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_row_form_matches_norm_bitwise(self):
         from coupledfix.space import _norm, _row_norms
 
