@@ -12,7 +12,9 @@ makes refutations certificates:
 - "weakly nonexpansive" (some a, b >= 0 with a + b <= 1 bounding
   ||F(x,y)-F(u,v)|| by a||x-u|| + b||y-v||) is refuted by a quadruple with
   ||dF|| > max(||x-u||, ||y-v||) + margin, since the max is the supremum
-  of the right-hand side over the whole simplex a + b = 1.
+  of the right-hand side over the whole simplex a + b = 1; and by the two
+  axis witnesses alone once a_hat + b_hat > 1 + margin, since they force
+  a >= a_hat and b >= b_hat.
 - the 1/2-1/2 form ("nonexpansive") is refuted by a quadruple with
   ||dF|| > (||x-u|| + ||y-v||)/2 + margin.
 - a strict contraction bound k||x-u|| + l||y-v|| with k + l < 1 is refuted
@@ -27,8 +29,17 @@ continuum. Reports whose a_hat + b_hat sits within the margin of 1 carry
 Sampling uses numpy's default PCG64 generator with explicit seed paths, so
 reports are bit-for-bit reproducible, and the draws for a given seed are a
 prefix of the draws for any larger sample count (nested sampling).
-Estimation may be parallelized only if the result stays identical to the
-sequential one; this implementation is sequential.
+
+The scans run over blocks of at most ``_CHUNK`` rows. Each block is drawn
+from the same generator as one whole draw would be, so its values are the
+same whatever the block size, and memory stays bounded at any sample count.
+A block is evaluated with two calls of ``BivariateOperator.eval`` on (n, d)
+arrays, and its row norms equal ``_norm`` of each row bit for bit. An axis
+pair drawn closer than ``MIN_SEPARATION`` is resampled afterwards, in a
+pass over just the flagged rows, from its own per-sample stream, so no
+other sample moves. Each scan keeps the rule of a sequential loop: the
+first maximum wins, and a later value replaces it only when strictly
+larger. Reports are therefore identical to a sample-by-sample scan.
 """
 
 from __future__ import annotations
@@ -260,14 +271,16 @@ def _classify_blocks(report: ContractivityReport, blocks, f: BivariateOperator) 
         df = _row_norms(f.eval(x, y) - f.eval(u, v))
         du = _row_norms(x - u)
         dv = _row_norms(y - v)
-        for kind, rhs in ((WITNESS_WEAKLY_NONEXPANSIVE, np.maximum(du, dv)), (WITNESS_NONEXPANSIVE, (du + dv) / 2.0)):
+        bounds = {WITNESS_WEAKLY_NONEXPANSIVE: np.maximum(du, dv), WITNESS_NONEXPANSIVE: (du + dv) / 2.0}
+        for kind, rhs in bounds.items():
             rows = np.flatnonzero(rhs > 0.0)
             margin = df[rows] - rhs[rows]
             held = best[kind]
             j = _pick(margin, None if held is None else held[0])
             if j >= 0:
                 i = rows[j]
-                best[kind] = (float(margin[j]), tuple(c[i].copy() for c in (x, y, u, v)), float(df[i] / rhs[i]))
+                quad = tuple(c[i].copy() for c in (x, y, u, v))
+                best[kind] = (float(margin[j]), quad, float(df[i] / rhs[i]))
         scanned += len(block)
 
     labels: set[str] = set()

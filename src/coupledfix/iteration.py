@@ -410,20 +410,20 @@ def verify_fejer_monotonicity(trace: IterationTrace, p) -> DiagnosticReport:
     xs = np.asarray([it.x for it in trace.iterates], dtype=float)
     if xs.shape[1] != pv.shape[0]:
         raise ValueError(f"p has dimension {pv.shape[0]}, trace is {xs.shape[1]}-dimensional")
-    sq_dists = ((xs - pv[None, :]) ** 2).sum(axis=1)
-    if cfg.scheme == KRASNOSELSKIJ_DOUBLE:
-        ys = np.asarray([it.y for it in trace.iterates], dtype=float)
-        sq_dists = sq_dists + ((ys - qv[None, :]) ** 2).sum(axis=1)
-    dists = np.sqrt(sq_dists)
     theta = float(cfg.theta)
     a_sq = theta * (1.0 - theta)
     res = np.asarray(trace.residuals, dtype=float)
-
-    d0, d1 = dists[:-1], dists[1:]
     with np.errstate(over="ignore", invalid="ignore"):
+        sq_dists = ((xs - pv[None, :]) ** 2).sum(axis=1)
+        if cfg.scheme == KRASNOSELSKIJ_DOUBLE:
+            ys = np.asarray([it.y for it in trace.iterates], dtype=float)
+            sq_dists = sq_dists + ((ys - qv[None, :]) ** 2).sum(axis=1)
+        dists = np.sqrt(sq_dists)
+        d0, d1 = dists[:-1], dists[1:]
+        gap = d0**2 - d1**2
         checks = (
             _worst_violation("distance_nonincreasing", d1 - d0 - 1e-12 * (1.0 + d0)),
-            _worst_violation("residual_energy_bound", a_sq * res[:-1] ** 2 - (d0**2 - d1**2) - 1e-9 * (1.0 + d0**2)),
+            _worst_violation("residual_energy_bound", a_sq * res[:-1] ** 2 - gap - 1e-9 * (1.0 + d0**2)),
         )
     return DiagnosticReport(all(c.passed for c in checks), checks)
 
@@ -434,7 +434,7 @@ def _worst_violation(name: str, terms: np.ndarray) -> DiagnosticCheck:
     # once squared) cannot be checked, so it counts as a violation of inf.
     unchecked = int(np.count_nonzero(~np.isfinite(terms)))
     if unchecked:
-        return DiagnosticCheck(name, False, math.inf, f"{unchecked} non-finite term(s) counted as violations of inf")
+        return DiagnosticCheck(name, False, math.inf, f"{unchecked} non-finite term(s) counted as inf")
     worst = float(np.max(terms, initial=0.0))
     return DiagnosticCheck(name, worst <= 0.0, worst)
 

@@ -128,7 +128,7 @@ class BivariateOperator:
             xv = _as_rows(x, "x")
             yv = _as_rows(y, "y")
             if xv.shape[0] != yv.shape[0]:
-                raise ValueError(f"operator {self.name!r} got blocks of {xv.shape[0]} and {yv.shape[0]} rows")
+                raise ValueError(f"operator {self.name!r} got {xv.shape[0]} and {yv.shape[0]} rows")
             dx, dy = xv.shape[1], yv.shape[1]
         else:
             xv = as_vector(x, "x")

@@ -4,6 +4,8 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coupledfix.contractivity as contractivity_mod
 
@@ -387,3 +389,23 @@ def test_block_size_does_not_change_reports(name, monkeypatch):
     # classify on a whole array walks it in blocks of the same size.
     report = estimate_constants(f, 400, 5)
     assert report_to_json(classify(report, draw_quadruples(f, 400, 5), f)) == default
+
+
+special = st.sampled_from([float("nan"), float("-inf"), float("inf"), -1.0, 0.0, 0.5, 1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(special | st.floats(), min_size=1, max_size=40), st.integers(min_value=1, max_value=9))
+def test_block_reduction_follows_the_sequential_rule(values, chunk):
+    # The loop the block scans replaced: take the first value, then each
+    # later value strictly above the running best.
+    expected = 0
+    for i, v in enumerate(values):
+        if v > values[expected]:
+            expected = i
+    best, at = None, -1
+    for start in range(0, len(values), chunk):
+        j = contractivity_mod._pick(np.array(values[start : start + chunk]), best)
+        if j >= 0:
+            best, at = values[start + j], start + j
+    assert at == expected
