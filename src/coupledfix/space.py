@@ -79,11 +79,7 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     norms = np.sqrt(sq)
     big = sq == np.inf
     if big.any():
-        rows = v[big]
-        scale = np.abs(rows).max(axis=1)
-        with np.errstate(invalid="ignore"):
-            w = rows / scale[:, None]
-            norms[big] = np.where(scale == np.inf, np.inf, scale * np.sqrt(np.vecdot(w, w)))
+        norms[big] = [_norm(row) for row in v[big]]
     return norms
 
 

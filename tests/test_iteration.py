@@ -14,6 +14,7 @@ from coupledfix import (
     Box,
     CoupledPair,
     OracleHandle,
+    OutputDimensionError,
     SchemeConfig,
     engine_theta,
     get_operator,
@@ -301,15 +302,13 @@ class TestDomainHandling:
     def test_wrong_output_dimension_propagates_after_step_zero(self):
         # Halves x until |x| <= 0.1, then returns two coordinates: an evaluator
         # defect, not a divergence, so no status may absorb it.
-        import coupledfix
-
         f = BivariateOperator(
             name="shrinking",
             domain=Box([-1.0], [1.0]),
             evaluator=lambda x, y: 0.5 * x if abs(x[0]) > 0.1 else np.zeros(2),
             range_in_domain=True,
         )
-        with pytest.raises(coupledfix.OutputDimensionError):
+        with pytest.raises(OutputDimensionError):
             picard_double(f, [1.0], [1.0], cfg(PICARD_DOUBLE, max_iter=50))
 
     def test_nonfinite_step_diverges(self):

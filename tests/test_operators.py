@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-import coupledfix
-
 from coupledfix import (
     BivariateOperator,
     Box,
     CoupledPair,
     NonFiniteEvaluationError,
+    OutputDimensionError,
     get_operator,
     is_coupled_fixed_point,
     make_linear_operator,
@@ -46,7 +45,7 @@ class TestEval:
 
     def test_wrong_output_dimension_has_its_own_error(self):
         wide = BivariateOperator(name="wide", domain=Box([-1.0], [1.0]), evaluator=lambda x, y: np.zeros(2))
-        with pytest.raises(coupledfix.OutputDimensionError, match="returned") as info:
+        with pytest.raises(OutputDimensionError, match="returned") as info:
             wide.eval([0.5], [0.5])
         assert isinstance(info.value, ValueError)
         assert not isinstance(info.value, NonFiniteEvaluationError)
@@ -57,7 +56,7 @@ class TestEval:
             name="first_row", domain=Box([-1.0], [1.0]), evaluator=lambda x, y: np.array([x[0] - y[0]])
         )
         assert first_row.eval([0.5], [0.25]) == pytest.approx([0.25], abs=0)
-        with pytest.raises(coupledfix.OutputDimensionError, match="returned"):
+        with pytest.raises(OutputDimensionError, match="returned"):
             first_row.eval(np.zeros((3, 1)), np.ones((3, 1)))
 
     @pytest.mark.parametrize("d", [10, 100])
