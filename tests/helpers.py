@@ -1,10 +1,10 @@
-"""Shared generators for randomized test problems."""
+"""Shared generators for test problems."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from coupledfix import Box, make_linear_operator
+from coupledfix import BivariateOperator, Box, make_linear_operator
 
 
 def random_linear_operator(rng, d=None, norm_sum=None, radius=2.0, name="linear"):
@@ -33,7 +33,42 @@ def random_linear_operator(rng, d=None, norm_sum=None, radius=2.0, name="linear"
     return make_linear_operator(a, b, c, box, name=name)
 
 
+def dyadic_linear(d):
+    # Entries are multiples of 1/(16 d), so the matrices hold exactly and
+    # ||A|| + ||B|| <= ||A||_F + ||B||_F <= 1/2 + 1/2: never refuted by a + b.
+    rng = np.random.default_rng(100 + d)
+    a = rng.integers(-8, 9, size=(d, d)) / (16.0 * d)
+    b = rng.integers(-8, 9, size=(d, d)) / (16.0 * d)
+    c = rng.integers(-8, 9, size=d) / 16.0
+    return make_linear_operator(a, b, c, Box(-2.0 * np.ones(d), 2.0 * np.ones(d)), name=f"linear_{d}")
+
+
 def sample_in_box(rng, box, n=None):
     if n is None:
         return rng.uniform(box.lower, box.upper)
     return rng.uniform(box.lower, box.upper, size=(n, box.dim))
+
+
+def escaper():
+    # Claims to be a self-map but pushes points outside its box.
+    return BivariateOperator(
+        name="escaper", domain=Box([-1.0], [1.0]), evaluator=lambda x, y: x + 1.5, range_in_domain=True
+    )
+
+
+def undefined_outside():
+    return BivariateOperator(
+        name="undefined_outside",
+        domain=Box([-1.0], [1.0]),
+        evaluator=lambda x, y: np.where(np.abs(x) <= 1.0, 1.5 * x, np.nan),
+        range_in_domain=True,
+    )
+
+
+def blowup():
+    return BivariateOperator(
+        name="blowup",
+        domain=Box([-np.finfo(float).max], [np.finfo(float).max]),
+        evaluator=lambda x, y: x * 1e250,
+        range_in_domain=True,
+    )

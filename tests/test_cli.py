@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -475,3 +476,98 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0
         assert "example_4_1" in proc.stdout
+
+
+# ---------------------------------------------------------------- pinned output
+
+PINNED_FILES = {
+    "linear_2": (
+        "operator = linear\n"
+        "a_matrix = [[0.25, 0.125], [0, 0.25]]\nb_matrix = [[0.125, 0], [0.0625, 0.125]]\n"
+        "shift = [0.5, -0.25]\nlower = [-2, -2]\nupper = [2, 2]\n"
+        "scheme = krasnoselskij_double\ntheta = 0.3\ntol = 1e-12\nx0 = [1, -1]\ny0 = [0.5, 0.5]\n"
+    ),
+    "point_box": (
+        "operator = linear\na_matrix = [[0.5]]\nb_matrix = [[0.25]]\n"
+        "shift = [0]\nlower = [0]\nupper = [0]\nx0 = [0]\n"
+    ),
+}
+
+RUN_41 = ("run", "--operator", "example_4_1")
+
+# name -> argv; "{file}" stands for the path of PINNED_FILES[file].
+PINNED_COMMANDS = {
+    "run_json": (*RUN_41, "--scheme", "krasnoselskij_diagonal", "--theta", "0.5", "--x0", "[1]", "--tol", "1e-10"),
+    "run_csv_double_target": (
+        "run", "--operator", "example_2_1", "--scheme", "krasnoselskij_double", "--theta", "0.3",
+        "--x0", "[0.1]", "--y0", "[0.9]", "--target", "[0]", "--format", "csv",
+    ),
+    "run_picard_cycle": (*RUN_41, "--scheme", "picard_double", "--x0", "[1]", "--y0", "[1]"),
+    "run_guarded": ("run", "--operator", "example_2_2", "--x0", "[3]", "--guard-domain", "true", "--max-iter", "40"),
+    "run_linear_file": ("run", "--problem", "{linear_2}", "--target", "[0.5, 0.5]"),
+    "sweep_flags": (
+        "sweep", "--operator", "example_4_1", "--x0", "[1]", "--thetas", "0.1,0.3,0.5,0.7,0.9",
+    ),
+    "sweep_linear_file": ("sweep", "--problem", "{linear_2}", "--thetas", "0.25,0.75"),
+    "analyze_positional": ("analyze", "example_2_1", "400", "42"),
+    "analyze_linear_file": ("analyze", "--problem", "{linear_2}", "--samples", "50", "--seed", "3"),
+    "list_operators": ("list-operators",),
+    # Errors raised by the library.
+    "error_config_theta": (*RUN_41, "--theta", "1.5", "--x0", "[1]"),
+    "error_config_tol": (*RUN_41, "--tol", "-1", "--x0", "[1]"),
+    "error_run_outside_domain": (*RUN_41, "--x0", "[5]"),
+    "error_run_dimension": (*RUN_41, "--x0", "[0.5, 0.5]"),
+    "error_run_target_dimension": (*RUN_41, "--x0", "[0.5]", "--target", "[0, 0]"),
+    "error_sweep_outside_domain": ("sweep", "--operator", "example_4_1", "--x0", "[5]", "--thetas", "0.5"),
+    "error_analyze_samples": ("analyze", "example_2_1", "0"),
+    "error_analyze_point_box": ("analyze", "--problem", "{point_box}", "--samples", "10"),
+    # Errors raised by the CLI itself.
+    "error_unknown_operator": ("run", "--operator", "example_9_9", "--x0", "[1]"),
+    "error_malformed_literal": (*RUN_41, "--x0", "[1"),
+    "error_missing_y0": ("run", "--operator", "example_2_1", "--scheme", "picard_double", "--x0", "[1]"),
+    "error_sweep_picard": (
+        "sweep", "--operator", "example_4_1", "--scheme", "picard_double", "--x0", "[1]", "--y0", "[1]",
+        "--thetas", "0.5",
+    ),
+    "error_sweep_thetas": ("sweep", "--operator", "example_4_1", "--x0", "[1]", "--thetas", "0.5,1.5"),
+}
+
+# name -> (exit code, first 16 hex digits of sha256(stdout), stderr), recorded
+# before the code they pin was simplified.
+PINNED_OUTPUT = {
+    "analyze_linear_file": (0, "034052265ea7b969", ''),
+    "analyze_positional": (0, "63a5d1aa1972e371", ''),
+    "error_analyze_point_box": (1, "e3b0c44298fc1c14", "error: operator 'linear' has a single-point domain: cannot vary arguments\n"),
+    "error_analyze_samples": (1, "e3b0c44298fc1c14", 'error: n_samples must be >= 1, got 0\n'),
+    "error_config_theta": (1, "e3b0c44298fc1c14", 'error: theta must lie in (0, 1), got 1.5\n'),
+    "error_config_tol": (1, "e3b0c44298fc1c14", 'error: tol must be positive, got -1.0\n'),
+    "error_malformed_literal": (1, "e3b0c44298fc1c14", "error: x0: malformed array literal '[1'\n"),
+    "error_missing_y0": (1, "e3b0c44298fc1c14", 'error: y0: required for scheme picard_double\n'),
+    "error_run_dimension": (1, "e3b0c44298fc1c14", 'error: initial point has dimension 2, operator expects 1\n'),
+    "error_run_outside_domain": (1, "e3b0c44298fc1c14", 'error: x0 = [5.0] lies outside the operator domain\n'),
+    "error_run_target_dimension": (1, "e3b0c44298fc1c14", 'error: target has dimension 2, operator expects 1\n'),
+    "error_sweep_outside_domain": (1, "e3b0c44298fc1c14", 'error: x0 = [5.0] lies outside the operator domain\n'),
+    "error_sweep_picard": (1, "e3b0c44298fc1c14", 'error: scheme: sweep varies theta, which picard_double ignores\n'),
+    "error_sweep_thetas": (1, "e3b0c44298fc1c14", 'error: thetas: every weight must lie in (0, 1), got 1.5\n'),
+    "error_unknown_operator": (1, "e3b0c44298fc1c14", "error: operator: unknown operator 'example_9_9'; registered names: example_2_1, example_2_2, example_4_1\n"),
+    "list_operators": (0, "a16d5da8caba573c", ''),
+    "run_csv_double_target": (0, "c0032097a7950452", ''),
+    "run_guarded": (0, "895194e6385dad43", ''),
+    "run_json": (0, "7ab090988ba68467", ''),
+    "run_linear_file": (0, "7b6639ea15d19dae", ''),
+    "run_picard_cycle": (2, "2129abfc19931734", ''),
+    "sweep_flags": (0, "3677227fd6c93d5d", ''),
+    "sweep_linear_file": (0, "8badcd50bcd408f5", ''),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUT))
+def test_pinned_cli_output(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("COUPLEDFIX_DEFAULT_TOL", raising=False)
+    paths = {}
+    for key, text in PINNED_FILES.items():
+        paths[key] = tmp_path / f"{key}.txt"
+        paths[key].write_text(text)
+    code = run_cli(*(arg.format(**paths) for arg in PINNED_COMMANDS[name]))
+    out, err = capsys.readouterr()
+    assert (code, hashlib.sha256(out.encode()).hexdigest()[:16], err) == PINNED_OUTPUT[name]

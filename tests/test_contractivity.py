@@ -36,6 +36,7 @@ from coupledfix.contractivity import (
     WITNESS_NONEXPANSIVE,
     WITNESS_WEAKLY_NONEXPANSIVE,
 )
+from helpers import dyadic_linear
 
 
 def constant_operator(c=0.4):
@@ -306,16 +307,6 @@ class TestDrawQuadruples:
 # ---------------------------------------------------------------- pinned reports
 
 
-def _dyadic_linear(d):
-    # Entries are multiples of 1/(16 d), so the matrices hold exactly and
-    # ||A|| + ||B|| <= ||A||_F + ||B||_F <= 1/2 + 1/2: never refuted by a + b.
-    rng = np.random.default_rng(100 + d)
-    a = rng.integers(-8, 9, size=(d, d)) / (16.0 * d)
-    b = rng.integers(-8, 9, size=(d, d)) / (16.0 * d)
-    c = rng.integers(-8, 9, size=d) / 16.0
-    return make_linear_operator(a, b, c, Box(-2.0 * np.ones(d), 2.0 * np.ones(d)), name=f"linear_{d}")
-
-
 def _narrow_box():
     # Width 3e-12: a pair lands closer than MIN_SEPARATION = 1e-12 with
     # probability 1 - (2/3)^2 = 5/9, so most samples are resampled.
@@ -328,8 +319,8 @@ PINNED_OPERATORS = {
     "example_2_1": lambda: get_operator("example_2_1"),
     "example_2_2": lambda: get_operator("example_2_2"),
     "example_4_1": lambda: get_operator("example_4_1"),
-    "linear_1": lambda: _dyadic_linear(1),
-    "linear_10": lambda: _dyadic_linear(10),
+    "linear_1": lambda: dyadic_linear(1),
+    "linear_10": lambda: dyadic_linear(10),
     "narrow": _narrow_box,
 }
 PINNED_RUNS = [(1, 0), (1, 42), (7, 0), (7, 1), (7, 42), (400, 0), (400, 1), (400, 42), (5000, 3)]

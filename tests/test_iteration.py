@@ -29,7 +29,7 @@ from coupledfix import (
     verify_fejer_monotonicity,
     verify_residual_decay,
 )
-from helpers import random_linear_operator, sample_in_box
+from helpers import blowup, escaper, random_linear_operator, sample_in_box, undefined_outside
 
 
 def cfg(scheme, **kw):
@@ -38,31 +38,6 @@ def cfg(scheme, **kw):
 
 def traces_equal(t1, t2):
     return t1 == t2
-
-
-def escaper():
-    # Claims to be a self-map but pushes points outside its box.
-    return BivariateOperator(
-        name="escaper", domain=Box([-1.0], [1.0]), evaluator=lambda x, y: x + 1.5, range_in_domain=True
-    )
-
-
-def undefined_outside():
-    return BivariateOperator(
-        name="undefined_outside",
-        domain=Box([-1.0], [1.0]),
-        evaluator=lambda x, y: np.where(np.abs(x) <= 1.0, 1.5 * x, np.nan),
-        range_in_domain=True,
-    )
-
-
-def blowup():
-    return BivariateOperator(
-        name="blowup",
-        domain=Box([-np.finfo(float).max], [np.finfo(float).max]),
-        evaluator=lambda x, y: x * 1e250,
-        range_in_domain=True,
-    )
 
 
 class TestConfigValidation:

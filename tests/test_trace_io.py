@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -13,12 +14,20 @@ from coupledfix import (
     krasnoselskij_diagonal,
     krasnoselskij_double,
     picard_double,
+    run_scheme,
     trace_from_json,
     trace_to_csv,
     trace_to_json,
 )
 from coupledfix.trace_io import format_float
-from helpers import random_linear_operator, sample_in_box
+from helpers import (
+    blowup,
+    dyadic_linear,
+    escaper,
+    random_linear_operator,
+    sample_in_box,
+    undefined_outside,
+)
 
 
 class TestFloatFormat:
@@ -128,3 +137,102 @@ class TestCsv:
         )
         header = trace_to_csv(trace).split("\n", 1)[0]
         assert header == "n,x0,x1,y0,y1,residual,distance_to_target"
+
+
+# ---------------------------------------------------------------- pinned bytes
+
+
+def _start(d, seed):
+    # Multiples of 1/8 inside every test box, so the start holds exactly.
+    return (np.random.default_rng(seed).integers(-8, 9, size=d) / 8.0).tolist()
+
+
+# problem -> (operator factory, x0, y0, target)
+_TRACED_PROBLEMS = {
+    "example_2_1": (lambda: get_operator("example_2_1"), [0.6], [-0.35], [0.0]),
+    "example_2_2": (lambda: get_operator("example_2_2"), [3.0], [-2.5], [1.0]),
+    "example_4_1": (lambda: get_operator("example_4_1"), [0.8], [-0.45], [0.0]),
+    **{
+        f"linear_{d}": (lambda d=d: dyadic_linear(d), _start(d, 200 + d), _start(d, 300 + d), None)
+        for d in (1, 10, 100)
+    },
+}
+_BROKEN_OPERATORS = {"escaper": escaper, "undefined_outside": undefined_outside, "blowup": blowup}
+
+
+def _pinned_trace(name):
+    problem, scheme, variant = name.split("/")
+    if problem in _BROKEN_OPERATORS:
+        f = _BROKEN_OPERATORS[problem]()
+        cfg = SchemeConfig(scheme, theta=0.9, max_iter=50)
+        with np.errstate(over="ignore"):
+            return run_scheme(f, cfg, [0.5], [0.25])
+    build, x0, y0, target = _TRACED_PROBLEMS[problem]
+    f = build()
+    if target is None:
+        target = f.known_coupled_fixed_points[0].x
+    guard = {"auto": None, "guard": True}[variant]
+    cfg = SchemeConfig(scheme, theta=0.3, tol=1e-12, max_iter=3000, guard_domain=guard)
+    return run_scheme(f, cfg, x0, y0, target)
+
+
+# First 16 hex digits of sha256(trace_to_json(trace)) for each run: every
+# scheme with guard auto and true on the three examples and the dyadic linear
+# operators at d = 1, 10 and 100 (theta 0.3, tol 1e-12, max_iter 3000, with a
+# target), and every scheme on three operators that break the engine's
+# assumptions. Recorded before the code they pin was simplified. Runs at
+# d >= 10 go through BLAS (matrix-vector products and dot products), so their
+# bits are those of the BLAS build they were recorded with.
+PINNED_TRACE_DIGESTS = {
+    "blowup/krasnoselskij_diagonal/plain": "d4ba974d272c1183",  # diverged_nonfinite 0
+    "blowup/krasnoselskij_double/plain": "2191f66bfadfc7f6",  # diverged_nonfinite 0
+    "blowup/picard_double/plain": "5a3ed8d11be92819",  # diverged_nonfinite 0
+    "escaper/krasnoselskij_diagonal/plain": "a7313d12adacf088",  # left_domain 1
+    "escaper/krasnoselskij_double/plain": "8634314ca745ec02",  # left_domain 1
+    "escaper/picard_double/plain": "e51d124e4a4625d8",  # left_domain 1
+    "example_2_1/krasnoselskij_diagonal/auto": "30f19d9c2371d5b7",  # converged 54
+    "example_2_1/krasnoselskij_diagonal/guard": "f3b01c3f66a3d022",  # converged 54
+    "example_2_1/krasnoselskij_double/auto": "106a03ecbde4acbb",  # converged 51
+    "example_2_1/krasnoselskij_double/guard": "59f32e2b3efcd124",  # converged 51
+    "example_2_1/picard_double/auto": "4378eb17fde0dc4b",  # converged 24
+    "example_2_1/picard_double/guard": "6213134cbdcde198",  # converged 24
+    "example_2_2/krasnoselskij_diagonal/auto": "ef22fd48b13f6f4e",  # converged 43
+    "example_2_2/krasnoselskij_diagonal/guard": "ef22fd48b13f6f4e",  # converged 43
+    "example_2_2/krasnoselskij_double/auto": "f73edbeaadb8be46",  # max_iter_reached 3000
+    "example_2_2/krasnoselskij_double/guard": "f73edbeaadb8be46",  # max_iter_reached 3000
+    "example_2_2/picard_double/auto": "160168b6de2f9943",  # converged 3
+    "example_2_2/picard_double/guard": "160168b6de2f9943",  # converged 3
+    "example_4_1/krasnoselskij_diagonal/auto": "d75c90d2f5f44cad",  # converged 31
+    "example_4_1/krasnoselskij_diagonal/guard": "c6a28f70dd1c3525",  # converged 31
+    "example_4_1/krasnoselskij_double/auto": "34b17338ef6d4716",  # converged 77
+    "example_4_1/krasnoselskij_double/guard": "b52f60ca6e40a586",  # converged 77
+    "example_4_1/picard_double/auto": "d59577f52c3a9551",  # max_iter_reached 3
+    "example_4_1/picard_double/guard": "5eec14cf87fa037c",  # max_iter_reached 3
+    "linear_1/krasnoselskij_diagonal/auto": "8ecee11fbba3588d",  # converged 117
+    "linear_1/krasnoselskij_diagonal/guard": "09f59b17a0a79448",  # converged 117
+    "linear_1/krasnoselskij_double/auto": "493f125efb14694b",  # converged 117
+    "linear_1/krasnoselskij_double/guard": "fb1df0e510848856",  # converged 117
+    "linear_1/picard_double/auto": "cfdb039bbbdb3113",  # converged 68
+    "linear_1/picard_double/guard": "7faed83cb529bee1",  # converged 68
+    "linear_10/krasnoselskij_diagonal/auto": "4083e6842b3722c1",  # converged 93
+    "linear_10/krasnoselskij_diagonal/guard": "3d472fd7ea18cf4e",  # converged 93
+    "linear_10/krasnoselskij_double/auto": "cbc8a4ecb305b08e",  # converged 94
+    "linear_10/krasnoselskij_double/guard": "d11702bde947e05b",  # converged 94
+    "linear_10/picard_double/auto": "cfd100b174e61c0d",  # converged 15
+    "linear_10/picard_double/guard": "9d983a58e2bee614",  # converged 15
+    "linear_100/krasnoselskij_diagonal/auto": "466a63058ecdcd33",  # converged 86
+    "linear_100/krasnoselskij_diagonal/guard": "eaedffe140818b29",  # converged 86
+    "linear_100/krasnoselskij_double/auto": "32be245b6d77172e",  # converged 86
+    "linear_100/krasnoselskij_double/guard": "acec12283ae3c28e",  # converged 86
+    "linear_100/picard_double/auto": "7bfe4266e8da3693",  # converged 10
+    "linear_100/picard_double/guard": "8ce91da0d188ebda",  # converged 10
+    "undefined_outside/krasnoselskij_diagonal/plain": "8bc893e89fedb225",  # left_domain 1
+    "undefined_outside/krasnoselskij_double/plain": "a962cabb8372947f",  # left_domain 1
+    "undefined_outside/picard_double/plain": "06380069aed41ffd",  # left_domain 1
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TRACE_DIGESTS))
+def test_pinned_trace_json_digests(name):
+    text = trace_to_json(_pinned_trace(name))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == PINNED_TRACE_DIGESTS[name]
