@@ -18,71 +18,14 @@ F(y, x) = y. This package provides:
   :mod:`coupledfix.cli`).
 """
 
-from .closed_form import (
-    DOUBLE_KRASNOSELSKIJ_EXAMPLE_2_1,
-    KRASNOSELSKIJ_EXAMPLE_4_1,
-    ORACLE_KINDS,
-    PICARD_EXAMPLE_2_1,
-    OracleHandle,
-    engine_theta,
-    oracle_iterate,
-    oracle_limit,
-    oracle_trace,
-)
-from .contractivity import (
-    ContractivityReport,
-    Witness,
-    analyze_operator,
-    classify,
-    draw_quadruples,
-    estimate_constants,
-    report_to_dict,
-    report_to_json,
-    witness_ratio,
-)
-from .iteration import (
-    CONVERGED,
-    DIVERGED_NONFINITE,
-    KRASNOSELSKIJ_DIAGONAL,
-    KRASNOSELSKIJ_DOUBLE,
-    LEFT_DOMAIN,
-    MAX_ITER_REACHED,
-    PICARD_DOUBLE,
-    SCHEMES,
-    DiagnosticCheck,
-    DiagnosticReport,
-    IterationTrace,
-    SchemeConfig,
-    krasnoselskij_diagonal,
-    krasnoselskij_double,
-    picard_double,
-    run_scheme,
-    verify_fejer_monotonicity,
-    verify_residual_decay,
-)
-from .operators import (
-    BivariateOperator,
-    CoupledPair,
-    NonFiniteEvaluationError,
-    OutputDimensionError,
-    example_2_1,
-    example_2_2,
-    example_4_1,
-    get_operator,
-    is_coupled_fixed_point,
-    make_linear_operator,
-    operator_names,
-)
-from .space import (
-    Box,
-    as_vector,
-    convex_combination,
-    convex_identity_defect,
-    inner,
-    norm,
-    project_box,
-)
-from .trace_io import trace_from_json, trace_to_csv, trace_to_json
+# Each module's __all__ is its list of public names; the package's own
+# __all__ below selects among them.
+from .closed_form import *
+from .contractivity import *
+from .iteration import *
+from .operators import *
+from .space import *
+from .trace_io import *
 
 __version__ = "0.1.0"
 

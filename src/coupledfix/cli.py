@@ -75,8 +75,11 @@ _PROBLEM_KEYS = {
 _TEXT_KEYS = {"operator", "scheme", "out", "format"}
 
 
-class CliError(Exception):
-    """Bad input; the message names the offending field."""
+class CliError(ValueError):
+    """Bad input; the message names the offending field.
+
+    ``main`` reports it as it reports the library's ``ValueError``s.
+    """
 
 
 def _is_number_array(value) -> bool:
@@ -117,7 +120,7 @@ def parse_problem_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise CliError(f"problem: cannot read {path!r}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -221,10 +224,7 @@ def _build_config(spec: dict) -> SchemeConfig:
         guard_domain=guard,
         seed=_number_field(spec, "seed", 0, int),
     )
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    cfg.validate()
     return cfg
 
 
@@ -250,10 +250,7 @@ def _build_run(spec: dict):
 def _cmd_run(spec: dict) -> int:
     f, cfg, x0, y0 = _build_run(spec)
     target = _vector_field(spec, "reference_fixed_point")
-    try:
-        trace = run_scheme(f, cfg, x0, y0, target)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    trace = run_scheme(f, cfg, x0, y0, target)
 
     fmt = spec.get("format", "json")
     if fmt not in ("json", "csv"):
@@ -267,10 +264,7 @@ def _cmd_analyze(spec: dict) -> int:
     f = _build_operator(spec)
     samples = _number_field(spec, "samples", 10000, int)
     seed = _number_field(spec, "seed", 0, int)
-    try:
-        report = analyze_operator(f, samples, seed)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    report = analyze_operator(f, samples, seed)
     _write_output(report_to_json(report) + "\n", spec.get("out"))
     return 0
 
@@ -298,10 +292,7 @@ def _cmd_sweep(spec: dict) -> int:
     lines = ["theta,iterations,final_residual,status"]
     worst = 0
     for theta in sorted(thetas):
-        try:
-            trace = run_scheme(f, dataclasses.replace(base, theta=theta), x0, y0)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        trace = run_scheme(f, dataclasses.replace(base, theta=theta), x0, y0)
         worst = max(worst, _EXIT_BY_STATUS[trace.status])
         lines.append(
             f"{format_float(theta)},{trace.n_steps},"
@@ -384,7 +375,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(_load_spec(args))
-    except CliError as exc:
+    except ValueError as exc:  # CliError, or a library error on a value the user gave
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -154,10 +154,8 @@ def oracle_limit(h: OracleHandle) -> CoupledPair:
     if h.kind == PICARD_EXAMPLE_2_1:
         half_diff = 0.5 * (h.x0 - h.y0)
         return CoupledPair(half_diff, -half_diff)
-    # Both relaxed kinds contract to the origin whenever lam is interior,
-    # since |1 - lam| < 1 and |1 - 2*lam| < 1 on (0, 1).
-    if not 0.0 < h.lam < 1.0:
-        raise ValueError(f"no limit: lam={h.lam} outside (0, 1)")
+    # Both relaxed kinds contract to the origin, since |1 - lam| < 1 and
+    # |1 - 2*lam| < 1 on (0, 1), and OracleHandle admits no lam outside it.
     zero = np.zeros_like(h.x0)
     return CoupledPair(zero, zero.copy())
 

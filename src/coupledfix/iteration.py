@@ -107,7 +107,7 @@ class SchemeConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
-@dataclass(eq=False)
+@dataclass
 class IterationTrace:
     """Recorded history of one run.
 
@@ -116,7 +116,8 @@ class IterationTrace:
     its residual, and ``distances_to_target[k]`` its distance to the
     reference point when one was supplied. ``scheme_config`` is the
     resolved copy actually used (in particular ``guard_domain`` is a
-    concrete bool).
+    concrete bool). Two traces are equal when every field is; iterates
+    compare bit for bit.
     """
 
     step_indices: list[int]
@@ -140,21 +141,6 @@ class IterationTrace:
     def n_steps(self) -> int:
         """Index of the last recorded iterate (number of update steps taken)."""
         return self.step_indices[-1]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IterationTrace):
-            return NotImplemented
-        if (
-            self.step_indices != other.step_indices
-            or self.residuals != other.residuals
-            or self.status != other.status
-            or self.scheme_config != other.scheme_config
-            or self.operator_name != other.operator_name
-            or self.cycle_detected != other.cycle_detected
-            or self.distances_to_target != other.distances_to_target
-        ):
-            return False
-        return all(a == b for a, b in zip(self.iterates, other.iterates, strict=True))
 
 
 def _is_two_cycle(

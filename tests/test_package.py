@@ -1,4 +1,5 @@
 import coupledfix
+from coupledfix import closed_form, contractivity, iteration, operators, space, trace_io
 
 PUBLIC_NAMES = [
     "BivariateOperator", "Box", "CONVERGED", "ContractivityReport", "CoupledPair",
@@ -22,3 +23,9 @@ def test_public_names_are_pinned():
     for name in coupledfix.__all__:
         assert hasattr(coupledfix, name), name
 
+
+
+def test_every_module_export_is_a_package_attribute():
+    for module in (closed_form, contractivity, iteration, operators, space, trace_io):
+        for name in module.__all__:
+            assert getattr(coupledfix, name) is getattr(module, name), name
