@@ -265,6 +265,60 @@ class TestSpecLoader:
         assert capsys.readouterr().out == without
 
 
+class TestScalarRules:
+    # true, false, auto and none are words only for guard_domain, and a
+    # scalar must be finite; each case exits 1 naming its key.
+    @pytest.mark.parametrize(
+        "command, line, key",
+        [
+            ("run", "tol = true", "tol"),
+            ("run", "max_iter = true", "max_iter"),
+            ("run", "theta = auto", "theta"),
+            ("run", "seed = false", "seed"),
+            ("run", "x0 = true", "x0"),
+            ("run", "reference_fixed_point = none", "reference_fixed_point"),
+            ("run", "tol = inf", "tol"),
+            ("run", "theta = nan", "theta"),
+            ("run", "max_iter = inf", "max_iter"),
+            ("sweep", "max_iter = inf", "max_iter"),
+            ("sweep", "max_iter = 1e999", "max_iter"),
+            ("analyze", "samples = inf", "samples"),
+            ("analyze", "seed = true", "seed"),
+        ],
+    )
+    def test_problem_file_value(self, tmp_path, capsys, command, line, key):
+        p = tmp_path / "problem.txt"
+        p.write_text(f"operator = example_4_1\nx0 = [1]\nthetas = 0.5\n{line}\n")
+        assert run_cli(command, "--problem", str(p)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--x0", "true"), ("--target", "false"), ("--tol", "inf"), ("--tol", "nan")]
+    )
+    def test_flag_value(self, capsys, flag, value):
+        argv = ("run", "--operator", "example_4_1", "--x0", "[1]", flag, value)
+        assert run_cli(*argv) == 1
+        key = {"--target": "reference_fixed_point"}.get(flag, flag[2:])
+        assert key in capsys.readouterr().err
+
+    def test_guard_domain_words_stay(self, tmp_path):
+        p = tmp_path / "problem.txt"
+        for word, parsed in (("true", True), ("False", False), ("auto", None), ("none", None)):
+            p.write_text(f"guard_domain = {word}\n")
+            assert parse_problem_file(str(p)) == {"guard_domain": parsed}
+
+    def test_box_too_wide_to_sample(self, tmp_path, capsys):
+        p = tmp_path / "problem.txt"
+        p.write_text(
+            "operator = linear\na_matrix = [[0.5]]\nb_matrix = [[0.25]]\nshift = [0]\n"
+            "lower = [-1.7976931348623157e308]\nupper = [1.7976931348623157e308]\n"
+        )
+        assert run_cli("analyze", "--problem", str(p), "--samples", "10") == 1
+        assert "width" in capsys.readouterr().err
+
+
 finite_doubles = st.floats(allow_nan=False, allow_infinity=False)
 number_vectors = st.lists(finite_doubles, min_size=1, max_size=6)
 number_matrices = st.integers(min_value=1, max_value=4).flatmap(

@@ -98,6 +98,15 @@ class TestEstimateConstants:
         with pytest.raises(ValueError, match="n_samples"):
             estimate_constants(get_operator("example_2_1"), 0, seed=0)
 
+    @pytest.mark.parametrize("draw", [estimate_constants, analyze_operator, draw_quadruples])
+    def test_box_too_wide_to_draw_from_rejected(self, draw):
+        # upper - lower overflows, and numpy cannot draw uniformly over it.
+        big = np.finfo(float).max
+        f = make_linear_operator([[0.5, 0.0], [0.0, 0.5]], [[0.25, 0.0], [0.0, 0.25]], [0.0, 0.0],
+                                 Box([-1.0, -big], [1.0, big]))
+        with pytest.raises(ValueError, match=r"width of coordinate 1 .*overflows"):
+            draw(f, 10, 0)
+
     def test_axis_witnesses_reproduce_hats(self):
         f = get_operator("example_2_2")
         report = estimate_constants(f, 2_000, seed=7)

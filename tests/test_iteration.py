@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from coupledfix import (
     oracle_limit,
     picard_double,
     run_scheme,
+    trace_to_json,
     verify_fejer_monotonicity,
     verify_residual_decay,
 )
@@ -56,6 +59,11 @@ class TestConfigValidation:
     def test_bad_tol(self):
         with pytest.raises(ValueError, match="tol"):
             cfg(KRASNOSELSKIJ_DIAGONAL, tol=0.0).validate()
+
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan")])
+    def test_non_finite_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            cfg(KRASNOSELSKIJ_DIAGONAL, tol=tol).validate()
 
     def test_bad_max_iter(self):
         with pytest.raises(ValueError, match="max_iter"):
@@ -422,6 +430,26 @@ class TestFejerMonotonicity:
             assert check.passed is False
             assert check.worst_violation == float("inf")
             assert "non-finite" in check.detail
+
+    def test_handled_overflow_emits_no_warning(self):
+        # The same doubling map, run until the iterate itself overflows: the
+        # squares overflow in _norm first, then F's output does. Both end in a
+        # status or a finite norm, so the run must not warn about them.
+        big = np.finfo(float).max
+        f = BivariateOperator(
+            name="doubling", domain=Box([-big], [big]), evaluator=lambda x, y: 2.0 * x, range_in_domain=True
+        )
+        config = cfg(KRASNOSELSKIJ_DIAGONAL, theta=0.5, max_iter=1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = krasnoselskij_diagonal(f, [1e200], config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = krasnoselskij_diagonal(f, [1e200], config)
+        assert tr.status == DIVERGED_NONFINITE
+        assert tr.n_steps > 600
+        assert tr == expected
+        assert trace_to_json(tr) == trace_to_json(expected)
 
     def test_rejects_picard_traces(self):
         f = get_operator("example_2_1")
