@@ -27,7 +27,11 @@ else there is a malformed array literal, including the Python spellings
 max_iter, seed, guard_domain, x0, y0, reference_fixed_point, out, format,
 samples, thetas, and, for inline linear operators (operator = linear):
 a_matrix, b_matrix, shift, lower, upper. The values of operator, scheme,
-out and format are kept as written.
+out and format are kept as written. guard_domain takes one of the words
+true, false, auto or none (any case); these words are not values of any
+other key. Any other scalar is read as a number, which must be finite
+(``inf``, ``nan`` and ``1e999`` are rejected), or else kept as text, as
+the comma-separated list of thetas is.
 
 Flag values use the same value grammar as the file (``--x0 [1, 0.5]``,
 ``--guard-domain auto``). Precedence: a flag given on the command line
@@ -44,6 +48,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -73,6 +78,7 @@ _PROBLEM_KEYS = {
     "a_matrix", "b_matrix", "shift", "lower", "upper",
 }
 _TEXT_KEYS = {"operator", "scheme", "out", "format"}
+_GUARD_WORDS = {"true": True, "false": False, "auto": None, "none": None}
 
 
 class CliError(ValueError):
@@ -99,19 +105,21 @@ def _parse_value(key: str, text: str):
         if not _is_number_array(value):
             raise CliError(f"{key}: malformed array literal {text!r}")
         return value
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    if low in ("auto", "none"):
-        return None
+    if key == "guard_domain":
+        if text.lower() not in _GUARD_WORDS:
+            raise CliError(f"guard_domain: expected true, false or auto, got {text!r}")
+        return _GUARD_WORDS[text.lower()]
     try:
         return int(text)
     except ValueError:
         pass
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         return text
+    if not math.isfinite(value):
+        raise CliError(f"{key}: expected a finite number, got {text!r}")
+    return value
 
 
 def parse_problem_file(path: str) -> dict:
@@ -212,16 +220,13 @@ def _number_field(spec: dict, key: str, default, convert):
 
 def _build_config(spec: dict) -> SchemeConfig:
     scheme = spec.get("scheme") or iteration.KRASNOSELSKIJ_DIAGONAL
-    guard = spec.get("guard_domain")
-    if guard is not None and not isinstance(guard, bool):
-        raise CliError(f"guard_domain: expected true, false or auto, got {guard!r}")
     tol = _default_tol() if spec.get("tol") is None else _number_field(spec, "tol", None, float)
     cfg = SchemeConfig(
         scheme=scheme,
         theta=_number_field(spec, "theta", 0.5, float),
         tol=tol,
         max_iter=_number_field(spec, "max_iter", 1000, int),
-        guard_domain=guard,
+        guard_domain=spec.get("guard_domain"),
         seed=_number_field(spec, "seed", 0, int),
     )
     cfg.validate()

@@ -150,6 +150,17 @@ def _uniform_in_box(rng: np.random.Generator, box: Box, shape: tuple[int, ...]) 
     return rng.uniform(box.lower, box.upper, size=shape + (box.dim,))
 
 
+def _require_drawable(f: BivariateOperator) -> None:
+    # numpy draws uniformly only where upper - lower is a finite double.
+    with np.errstate(over="ignore"):
+        wide = np.flatnonzero(f.domain.upper - f.domain.lower == np.inf)
+    if wide.size:
+        raise ValueError(
+            f"operator {f.name!r}: the width of coordinate {wide[0]} of its domain, "
+            f"upper - lower, overflows to inf: cannot draw uniform samples"
+        )
+
+
 def _blocks(box: Box, n_samples: int, seed: int, phase: int, width: int):
     """Stream ``phase`` of the draws as (m, width, d) blocks of at most _CHUNK rows."""
     rng = np.random.default_rng([seed, phase])
@@ -214,6 +225,7 @@ def estimate_constants(f: BivariateOperator, n_samples: int, seed: int) -> Contr
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if f.domain.is_degenerate():
         raise ValueError(f"operator {f.name!r} has a single-point domain: cannot vary arguments")
+    _require_drawable(f)
     diameter = _norm(f.domain.upper - f.domain.lower)
     if diameter < MIN_SEPARATION:
         raise ValueError(
@@ -237,6 +249,7 @@ def draw_quadruples(f: BivariateOperator, n_samples: int, seed: int) -> np.ndarr
     n_samples = int(n_samples)
     if n_samples < 0:
         raise ValueError(f"n_samples must be >= 0, got {n_samples}")
+    _require_drawable(f)
     return _uniform_in_box(np.random.default_rng([seed, 2]), f.domain, (n_samples, 4))
 
 

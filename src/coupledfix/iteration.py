@@ -103,6 +103,8 @@ class SchemeConfig:
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
         if not float(self.tol) > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
+        if float(self.tol) == math.inf:
+            raise ValueError(f"tol must be finite, got {self.tol}")
         if int(self.max_iter) < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
@@ -184,6 +186,9 @@ class _Recorder:
             self.distances.append(max(_norm(x - self.target), _norm(y - self.target)))
 
 
+# Every overflow in a run ends in a status or in _norm's finite fallback, so
+# numpy's warnings about it would say nothing the trace does not.
+@np.errstate(over="ignore", invalid="ignore")
 def _run_loop(
     f: BivariateOperator,
     x0,
@@ -218,8 +223,7 @@ def _run_loop(
     escape_slack = 1e-12 * (1.0 + float(np.abs(np.concatenate([box.lower, box.upper])).max()))
     # The bounds Box.contains(v, slack=escape_slack) compares against; next
     # to the float maximum they round to inf, which is what they mean there.
-    with np.errstate(over="ignore"):
-        low, high = box.lower - escape_slack, box.upper + escape_slack
+    low, high = box.lower - escape_slack, box.upper + escape_slack
 
     rec = _Recorder(int(cfg.max_iter), target_v, TRACE_CAP)
     prev: tuple[np.ndarray, np.ndarray] | None = None
