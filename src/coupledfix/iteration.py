@@ -86,7 +86,9 @@ class SchemeConfig:
 
     ``theta`` is ignored by ``picard_double``. ``guard_domain=None`` means
     automatic: off for operators that map their domain into themselves,
-    forced on otherwise.
+    forced on otherwise. No scheme reads ``seed``: it is only carried into
+    the trace and its JSON, and it stays because the benchmark's trace
+    checks compare it.
     """
 
     scheme: str
