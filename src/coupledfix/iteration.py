@@ -88,7 +88,7 @@ class SchemeConfig:
     automatic: off for operators that map their domain into themselves,
     forced on otherwise. No scheme reads ``seed``: it is only carried into
     the trace and its JSON, and it stays because the benchmark's trace
-    checks compare it.
+    checks (``perfbench/checks.py``) compare it.
     """
 
     scheme: str
