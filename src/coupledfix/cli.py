@@ -201,6 +201,8 @@ def _build_operator(spec: dict):
     for key in ("a_matrix", "b_matrix", "shift", "lower", "upper"):
         if key not in spec:
             raise CliError(f"{key}: required for operator = linear")
+        if isinstance(spec[key], str):
+            raise CliError(f"{key}: expected a number or an array literal, got {spec[key]!r}")
     try:
         domain = Box(spec["lower"], spec["upper"])
         return make_linear_operator(spec["a_matrix"], spec["b_matrix"], spec["shift"], domain)

@@ -222,6 +222,12 @@ class TestProblemFiles:
         assert run_cli("run", "--problem", "/does/not/exist.txt") == 1
         assert "problem" in capsys.readouterr().err
 
+    def test_file_not_utf8(self, tmp_path, capsys):
+        p = tmp_path / "problem.txt"
+        p.write_bytes(b"\xff\xfe = 1\n")
+        assert run_cli("run", "--problem", str(p)) == 1
+        assert capsys.readouterr().err.startswith("error: problem: cannot read")
+
     def test_non_numeric_theta_named(self, tmp_path, capsys):
         p = tmp_path / "problem.txt"
         p.write_text("operator = example_4_1\ntheta = fast\nx0 = [1]\n")
@@ -302,6 +308,16 @@ class TestScalarRules:
         assert run_cli(*argv) == 1
         key = {"--target": "reference_fixed_point"}.get(flag, flag[2:])
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["a_matrix = true", "lower = abc"])
+    def test_linear_operator_word(self, tmp_path, capsys, line):
+        p = tmp_path / "problem.txt"
+        p.write_text(
+            "operator = linear\na_matrix = [[0.5]]\nb_matrix = [[0.25]]\nshift = [0]\n"
+            f"lower = [-1]\nupper = [1]\nx0 = [0]\n{line}\n"
+        )
+        assert run_cli("run", "--problem", str(p)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {line.split()[0]}: expected a number")
 
     def test_guard_domain_words_stay(self, tmp_path):
         p = tmp_path / "problem.txt"
