@@ -29,9 +29,10 @@ samples, thetas, and, for inline linear operators (operator = linear):
 a_matrix, b_matrix, shift, lower, upper. The values of operator, scheme,
 out and format are kept as written. guard_domain takes one of the words
 true, false, auto or none (any case); these words are not values of any
-other key. Any other scalar is read as a number, which must be finite
-(``inf``, ``nan`` and ``1e999`` are rejected), or else kept as text, as
-the comma-separated list of thetas is.
+other key. Any other scalar is read as a number, or else kept as text, as
+the comma-separated list of thetas is. Every number, alone or in an
+array, must be finite: ``inf``, ``nan``, ``1e999``, ``[1e999]`` and
+integers past the float range are rejected.
 
 Flag values use the same value grammar as the file (``--x0 [1, 0.5]``,
 ``--guard-domain auto``). Precedence: a flag given on the command line
@@ -93,10 +94,26 @@ def _is_number_array(value) -> bool:
     return type(value) is list and all(type(v) in (int, float) or _is_number_array(v) for v in value)
 
 
+def _is_finite(value) -> bool:
+    """Every number in ``value``, a number or a nested list, is a finite float."""
+    try:
+        if type(value) is not list:
+            return math.isfinite(value)
+        return all(map(math.isfinite, value))
+    except TypeError:  # a nested list: check each item
+        return all(map(_is_finite, value))
+    except OverflowError:  # an int past the float range
+        return False
+
+
 def _parse_value(key: str, text: str):
     text = text.strip()
     if key in _TEXT_KEYS:
         return text
+    if key == "guard_domain":
+        if text.lower() not in _GUARD_WORDS:
+            raise CliError(f"guard_domain: expected true, false or auto, got {text!r}")
+        return _GUARD_WORDS[text.lower()]
     if text.startswith("["):
         try:  # NaN and Infinity come back as strings, which the leaf check rejects
             value = json.loads(text, parse_constant=str)
@@ -104,20 +121,15 @@ def _parse_value(key: str, text: str):
             value = None
         if not _is_number_array(value):
             raise CliError(f"{key}: malformed array literal {text!r}")
-        return value
-    if key == "guard_domain":
-        if text.lower() not in _GUARD_WORDS:
-            raise CliError(f"guard_domain: expected true, false or auto, got {text!r}")
-        return _GUARD_WORDS[text.lower()]
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        value = float(text)
-    except ValueError:
-        return text
-    if not math.isfinite(value):
+    else:
+        try:
+            value = int(text)
+        except ValueError:
+            try:
+                value = float(text)
+            except ValueError:
+                return text
+    if not _is_finite(value):
         raise CliError(f"{key}: expected a finite number, got {text!r}")
     return value
 

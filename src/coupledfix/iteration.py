@@ -121,7 +121,7 @@ class IterationTrace:
     reference point when one was supplied. ``scheme_config`` is the
     resolved copy actually used (in particular ``guard_domain`` is a
     concrete bool). Two traces are equal when every field is; iterates
-    compare bit for bit.
+    compare element by element (``np.array_equal``, so 0.0 equals -0.0).
     """
 
     step_indices: list[int]

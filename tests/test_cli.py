@@ -290,6 +290,12 @@ class TestScalarRules:
             ("sweep", "max_iter = 1e999", "max_iter"),
             ("analyze", "samples = inf", "samples"),
             ("analyze", "seed = true", "seed"),
+            ("run", "guard_domain = [1]", "guard_domain"),
+            ("run", "guard_domain = [0]", "guard_domain"),
+            pytest.param("run", "theta = 1" + "0" * 400, "theta", id="run-theta-int-past-float"),
+            pytest.param("run", "tol = 1" + "0" * 400, "tol", id="run-tol-int-past-float"),
+            pytest.param("run", "x0 = [1" + "0" * 400 + "]", "x0", id="run-x0-int-past-float"),
+            ("run", "x0 = [1e999]", "x0"),
         ],
     )
     def test_problem_file_value(self, tmp_path, capsys, command, line, key):
