@@ -18,30 +18,28 @@ Examples:
     coupledfix list-operators
 
 Problem files are flat ``key = value`` lines; blank lines and ``#``
-comments are ignored. A value that starts with ``[`` is a JSON array of
-JSON numbers, nested for matrices: ``x0 = [1, 0.5]``,
-``a_matrix = [[0.2, 0], [0, 0.1]]`` or ``shift = [1e-05, -0.0]``. Anything
-else there is a malformed array literal, including the Python spellings
-``[.5]``, ``[1.]``, ``[+1]``, ``[1, 2,]``, ``[(1, 2)]``, ``[True]``,
-``['1']`` and ``[None]``. Recognized keys: operator, scheme, theta, tol,
-max_iter, seed, guard_domain, x0, y0, reference_fixed_point, out, format,
-samples, thetas, and, for inline linear operators (operator = linear):
-a_matrix, b_matrix, shift, lower, upper. The values of operator, scheme,
-out and format are kept as written. guard_domain takes one of the words
-true, false, auto or none (any case); these words are not values of any
-other key. Any other scalar is read as a number, or else kept as text, as
-the comma-separated list of thetas is. Every number, alone or in an
-array, must be finite: ``inf``, ``nan``, ``1e999``, ``[1e999]`` and
-integers past the float range are rejected.
-
-Flag values use the same value grammar as the file (``--x0 [1, 0.5]``,
-``--guard-domain auto``). Precedence: a flag given on the command line
-wins over an ``analyze`` positional, which wins over the problem file.
+comments are ignored. One value grammar covers file lines, flags
+(``--x0 [1, 0.5]``, ``--guard-domain auto``), ``analyze`` positionals and
+COUPLEDFIX_DEFAULT_TOL: ``_KINDS`` gives each key one kind. operator,
+scheme, out and format are text, kept as written. guard_domain is one of
+the words true, false, auto or none (any case), which are values of no
+other key. theta and tol are floats. max_iter, seed and samples are
+integers (``2000.0`` and ``1e3`` are integers, ``2.5`` is not). x0, y0,
+reference_fixed_point and, for operator = linear, a_matrix, b_matrix,
+shift, lower and upper are a number or a JSON array of JSON numbers,
+nested for matrices; Python-only spellings such as ``[.5]``, ``[+1]``,
+``[1, 2,]``, ``[True]`` or ``[None]`` are malformed. thetas is one or
+more comma-separated numbers, or an array, each in (0, 1).
+Every number, alone or in an array, must be finite: ``inf``, ``nan``,
+``1e999``, ``[1e999]`` and integers past the float range are rejected. A
+value that does not fit its key's kind exits 1 naming the key, also under
+a command that does not read that key (``thetas = abc`` in a ``run``
+file). A flag wins over an ``analyze`` positional, which wins over the file.
 
 Exit codes for ``run``: 0 converged, 2 max_iter_reached (including
-detected cycles), 3 diverged or left the domain, 1 malformed input. The
-default residual tolerance is 1e-10, overridable through the
-COUPLEDFIX_DEFAULT_TOL environment variable.
+detected cycles), 3 diverged or left the domain, 1 malformed input or a
+usage error such as an unknown flag. The default residual tolerance is
+1e-10; the COUPLEDFIX_DEFAULT_TOL environment variable overrides it.
 """
 
 from __future__ import annotations
@@ -73,13 +71,8 @@ _EXIT_BY_STATUS = {
 
 _DOUBLE_SCHEMES = (iteration.PICARD_DOUBLE, iteration.KRASNOSELSKIJ_DOUBLE)
 
-_PROBLEM_KEYS = {
-    "operator", "scheme", "theta", "tol", "max_iter", "seed", "guard_domain",
-    "x0", "y0", "reference_fixed_point", "out", "format", "samples", "thetas",
-    "a_matrix", "b_matrix", "shift", "lower", "upper",
-}
-_TEXT_KEYS = {"operator", "scheme", "out", "format"}
 _GUARD_WORDS = {"true": True, "false": False, "auto": None, "none": None}
+_NUMBER_TYPES = frozenset({int, float})  # bool is neither
 
 
 class CliError(ValueError):
@@ -89,9 +82,11 @@ class CliError(ValueError):
     """
 
 
-def _is_number_array(value) -> bool:
-    """A list whose leaves, at any depth, are numbers (``bool`` is not one)."""
-    return type(value) is list and all(type(v) in (int, float) or _is_number_array(v) for v in value)
+class _Parser(argparse.ArgumentParser):
+    """Splits argv into strings; a usage error is a ``CliError`` (exit 1)."""
+
+    def error(self, message):
+        raise CliError(message)
 
 
 def _is_finite(value) -> bool:
@@ -106,32 +101,90 @@ def _is_finite(value) -> bool:
         return False
 
 
-def _parse_value(key: str, text: str):
-    text = text.strip()
-    if key in _TEXT_KEYS:
-        return text
-    if key == "guard_domain":
-        if text.lower() not in _GUARD_WORDS:
-            raise CliError(f"guard_domain: expected true, false or auto, got {text!r}")
-        return _GUARD_WORDS[text.lower()]
-    if text.startswith("["):
-        try:  # NaN and Infinity come back as strings, which the leaf check rejects
-            value = json.loads(text, parse_constant=str)
-        except ValueError:
-            value = None
-        if not _is_number_array(value):
-            raise CliError(f"{key}: malformed array literal {text!r}")
-    else:
+def _is_number_array(value) -> bool:
+    """A list whose leaves, at any depth, are numbers (``bool`` is not one)."""
+    return type(value) is list and (_NUMBER_TYPES.issuperset(map(type, value))
+                                    or all(map(_is_number_array, value)))
+
+
+def _number(text: str, expected: str = "a number"):
+    try:
+        value = int(text)
+    except ValueError:
         try:
-            value = int(text)
+            value = float(text)
         except ValueError:
-            try:
-                value = float(text)
-            except ValueError:
-                return text
+            raise CliError(f"expected {expected}, got {text!r}") from None
     if not _is_finite(value):
-        raise CliError(f"{key}: expected a finite number, got {text!r}")
+        raise CliError(f"expected a finite number, got {text!r}")
     return value
+
+
+def _guard_word(text: str):
+    if text.lower() not in _GUARD_WORDS:
+        raise CliError(f"expected true, false or auto, got {text!r}")
+    return _GUARD_WORDS[text.lower()]
+
+
+def _float(text: str) -> float:
+    return float(_number(text))
+
+
+def _integer(text: str) -> int:
+    value = _number(text)
+    if int(value) != value:
+        raise CliError(f"expected an integer, got {text!r}")
+    return int(value)
+
+
+def _array(text: str):
+    """A number or a JSON array of JSON numbers; ``space`` and ``operators`` check its shape."""
+    if not text.startswith("["):
+        return _number(text, "a number or an array literal")
+    try:  # NaN and Infinity come back as strings, which the leaf check rejects
+        value = json.loads(text, parse_constant=str)
+        well_formed = _is_number_array(value)
+    except (ValueError, RecursionError):  # not JSON, or nested too deep to read
+        well_formed = False
+    if not well_formed:
+        raise CliError(f"malformed array literal {text!r}")
+    if not _is_finite(value):
+        raise CliError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _weights(text: str) -> list[float]:
+    """An array literal or a comma-separated list of numbers, each in (0, 1)."""
+    if text.startswith("["):
+        weights = _array(text)
+    else:
+        weights = [_float(part) for part in map(str.strip, text.split(",")) if part]
+    if not weights:
+        raise CliError(f"expected at least one weight, got {text!r}")
+    for w in weights:
+        if type(w) is list or not 0.0 < w < 1.0:
+            raise CliError(f"every weight must lie in (0, 1), got {w}")
+    return [float(w) for w in weights]
+
+
+# The kind of every key, whichever source gives it: file, flag, positional.
+_KINDS = {
+    **dict.fromkeys(("operator", "scheme", "out", "format"), str),
+    "guard_domain": _guard_word,
+    **dict.fromkeys(("theta", "tol"), _float),
+    **dict.fromkeys(("max_iter", "seed", "samples"), _integer),
+    **dict.fromkeys(("x0", "y0", "reference_fixed_point"), _array),
+    **dict.fromkeys(("a_matrix", "b_matrix", "shift", "lower", "upper"), _array),  # operator = linear
+    "thetas": _weights,
+}
+
+
+def _parse_value(key: str, text: str):
+    """Type and check one value, from a file line, a flag, a positional or the environment."""
+    try:
+        return _KINDS[key](text.strip())
+    except CliError as exc:
+        raise CliError(f"{key}: {exc}") from None
 
 
 def parse_problem_file(path: str) -> dict:
@@ -150,55 +203,31 @@ def parse_problem_file(path: str) -> dict:
             raise CliError(f"problem: line {lineno} is not 'key = value': {raw.strip()!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _PROBLEM_KEYS:
+        if key not in _KINDS:
             raise CliError(f"problem: unknown key {key!r} on line {lineno}")
         values[key] = _parse_value(key, value)
     return values
 
 
 def _default_tol() -> float:
-    raw = os.environ.get(DEFAULT_TOL_ENV)
-    if raw is None:
-        return 1e-10
     try:
-        tol = float(raw)
-    except ValueError:
-        raise CliError(f"tol: {DEFAULT_TOL_ENV}={raw!r} is not a number") from None
+        tol = _parse_value("tol", os.environ.get(DEFAULT_TOL_ENV, "1e-10"))
+    except CliError as exc:
+        raise CliError(f"{DEFAULT_TOL_ENV}: {exc}") from None
     if tol <= 0:
-        raise CliError(f"tol: {DEFAULT_TOL_ENV} must be positive, got {raw}")
+        raise CliError(f"{DEFAULT_TOL_ENV}: tol must be positive, got {tol}")
     return tol
 
 
 def _load_spec(args: argparse.Namespace) -> dict:
-    """Merge the problem file, the ``analyze`` positionals and the flags.
-
-    Later sources win: file, then positionals, then every flag given. A
-    flag's string value is parsed with the file's value grammar, here and
-    nowhere else.
-    """
+    """Merge the problem file, then the ``analyze`` positionals, then the flags; later sources win."""
     spec = parse_problem_file(args.problem) if getattr(args, "problem", None) else {}
-    for key in ("operator", "samples", "seed"):
-        positional = getattr(args, f"{key}_pos", None)
-        if positional is not None:
-            spec[key] = positional
-    for key in _PROBLEM_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            spec[key] = _parse_value(key, value) if isinstance(value, str) else value
+    given = [(key, getattr(args, f"{key}_pos", None)) for key in ("operator", "samples", "seed")]
+    given += [(key, getattr(args, key, None)) for key in _KINDS]
+    for key, text in given:
+        if text is not None:
+            spec[key] = _parse_value(key, text)
     return spec
-
-
-def _vector_field(spec: dict, key: str, required: bool = False):
-    value = spec.get(key)
-    if value is None:
-        if required:
-            raise CliError(f"{key}: required but not given")
-        return None
-    if isinstance(value, (int, float)):
-        value = [value]
-    if not isinstance(value, list):
-        raise CliError(f"{key}: expected a vector literal like [1, 0.5], got {value!r}")
-    return value
 
 
 def _build_operator(spec: dict):
@@ -213,8 +242,6 @@ def _build_operator(spec: dict):
     for key in ("a_matrix", "b_matrix", "shift", "lower", "upper"):
         if key not in spec:
             raise CliError(f"{key}: required for operator = linear")
-        if isinstance(spec[key], str):
-            raise CliError(f"{key}: expected a number or an array literal, got {spec[key]!r}")
     try:
         domain = Box(spec["lower"], spec["upper"])
         return make_linear_operator(spec["a_matrix"], spec["b_matrix"], spec["shift"], domain)
@@ -222,26 +249,11 @@ def _build_operator(spec: dict):
         raise CliError(f"operator: {exc}") from exc
 
 
-def _number_field(spec: dict, key: str, default, convert):
-    value = spec.get(key)
-    if value is None:
-        return default
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise CliError(f"{key}: expected a number, got {value!r}") from None
-
-
 def _build_config(spec: dict) -> SchemeConfig:
-    scheme = spec.get("scheme") or iteration.KRASNOSELSKIJ_DIAGONAL
-    tol = _default_tol() if spec.get("tol") is None else _number_field(spec, "tol", None, float)
     cfg = SchemeConfig(
-        scheme=scheme,
-        theta=_number_field(spec, "theta", 0.5, float),
-        tol=tol,
-        max_iter=_number_field(spec, "max_iter", 1000, int),
-        guard_domain=spec.get("guard_domain"),
-        seed=_number_field(spec, "seed", 0, int),
+        scheme=spec.get("scheme") or iteration.KRASNOSELSKIJ_DIAGONAL,
+        tol=spec["tol"] if "tol" in spec else _default_tol(),
+        **{key: spec[key] for key in ("theta", "max_iter", "guard_domain", "seed") if key in spec},
     )
     cfg.validate()
     return cfg
@@ -259,8 +271,9 @@ def _build_run(spec: dict):
     """The operator, config and starting points shared by ``run`` and ``sweep``."""
     f = _build_operator(spec)
     cfg = _build_config(spec)
-    x0 = _vector_field(spec, "x0", required=True)
-    y0 = _vector_field(spec, "y0")
+    if "x0" not in spec:
+        raise CliError("x0: required but not given")
+    x0, y0 = spec["x0"], spec.get("y0")
     if cfg.scheme in _DOUBLE_SCHEMES and y0 is None:
         raise CliError(f"y0: required for scheme {cfg.scheme}")
     return f, cfg, x0, y0
@@ -268,12 +281,10 @@ def _build_run(spec: dict):
 
 def _cmd_run(spec: dict) -> int:
     f, cfg, x0, y0 = _build_run(spec)
-    target = _vector_field(spec, "reference_fixed_point")
-    trace = run_scheme(f, cfg, x0, y0, target)
-
     fmt = spec.get("format", "json")
     if fmt not in ("json", "csv"):
         raise CliError(f"format: must be json or csv, got {fmt!r}")
+    trace = run_scheme(f, cfg, x0, y0, spec.get("reference_fixed_point"))
     text = trace_to_json(trace) if fmt == "json" else trace_to_csv(trace)
     _write_output(text, spec.get("out"))
     return _EXIT_BY_STATUS[trace.status]
@@ -281,29 +292,15 @@ def _cmd_run(spec: dict) -> int:
 
 def _cmd_analyze(spec: dict) -> int:
     f = _build_operator(spec)
-    samples = _number_field(spec, "samples", 10000, int)
-    seed = _number_field(spec, "seed", 0, int)
-    report = analyze_operator(f, samples, seed)
+    report = analyze_operator(f, spec.get("samples", 10000), spec.get("seed", 0))
     _write_output(report_to_json(report) + "\n", spec.get("out"))
     return 0
 
 
 def _cmd_sweep(spec: dict) -> int:
-    raw = spec.get("thetas")
-    if raw is None:
+    thetas = spec.get("thetas")
+    if thetas is None:
         raise CliError("thetas: required (comma-separated list in (0, 1))")
-    if isinstance(raw, str):
-        raw = [part for part in raw.split(",") if part.strip()]
-    if isinstance(raw, (int, float)):
-        raw = [raw]
-    try:
-        thetas = [float(t) for t in raw]
-    except (TypeError, ValueError):
-        raise CliError(f"thetas: malformed list {spec.get('thetas')!r}") from None
-    for t in thetas:
-        if not 0.0 < t < 1.0:
-            raise CliError(f"thetas: every weight must lie in (0, 1), got {t}")
-
     f, base, x0, y0 = _build_run(spec)
     if base.scheme == iteration.PICARD_DOUBLE:
         raise CliError("scheme: sweep varies theta, which picard_double ignores")
@@ -339,14 +336,15 @@ def _cmd_list_operators(_: dict) -> int:
 def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--problem", help="problem file (flat key = value format)")
     p.add_argument("--operator", help="registry name, or 'linear' with a problem file")
-    p.add_argument("--scheme", choices=iteration.SCHEMES)
-    p.add_argument("--theta", type=float, help="weight on the operator image, in (0, 1)")
-    p.add_argument("--tol", type=float, help="residual tolerance (default 1e-10)")
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--seed", type=int)
+    schemes = ", ".join(iteration.SCHEMES)
+    p.add_argument("--scheme", help=f"one of {schemes} (default: krasnoselskij_diagonal)")
+    p.add_argument("--theta", help="weight on the operator image, in (0, 1)")
+    p.add_argument("--tol", help=f"residual tolerance (default: 1e-10, or ${DEFAULT_TOL_ENV})")
+    p.add_argument("--max-iter", dest="max_iter", help="integer step cap (default: 1000)")
+    p.add_argument("--seed", help="integer recorded in the trace (default: 0)")
     p.add_argument(
-        "--guard-domain", dest="guard_domain", choices=["auto", "true", "false"],
-        help="project iterates back into the domain (default: auto)",
+        "--guard-domain", dest="guard_domain",
+        help="project iterates back into the domain: true, false or auto (the default; none means auto)",
     )
     p.add_argument("--x0", help="starting point, e.g. [1] or [0.5, -0.5]")
     p.add_argument("--y0", help="second starting point for the double schemes")
@@ -354,7 +352,8 @@ def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The subcommands and their flags; every value stays a string for ``_parse_value``."""
+    parser = _Parser(
         prog="coupledfix",
         description="Coupled fixed points of bivariate operators by relaxed iterations.",
     )
@@ -366,17 +365,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--target", dest="reference_fixed_point", metavar="TARGET",
         help="reference fixed point for distance tracking",
     )
-    run_p.add_argument("--format", choices=["json", "csv"])
+    run_p.add_argument("--format", help="json or csv (default: json)")
     run_p.set_defaults(func=_cmd_run)
 
     an_p = sub.add_parser("analyze", help="estimate contractivity constants and classify")
     an_p.add_argument("operator_pos", nargs="?", metavar="OPERATOR")
-    an_p.add_argument("samples_pos", nargs="?", type=int, metavar="SAMPLES")
-    an_p.add_argument("seed_pos", nargs="?", type=int, metavar="SEED")
+    an_p.add_argument("samples_pos", nargs="?", metavar="SAMPLES")
+    an_p.add_argument("seed_pos", nargs="?", metavar="SEED")
     an_p.add_argument("--problem")
     an_p.add_argument("--operator")
-    an_p.add_argument("--samples", type=int)
-    an_p.add_argument("--seed", type=int)
+    an_p.add_argument("--samples", help="integer sample count (default: 10000)")
+    an_p.add_argument("--seed", help="integer seed of the sampler (default: 0)")
     an_p.add_argument("--out")
     an_p.set_defaults(func=_cmd_analyze)
 
@@ -391,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(_load_spec(args))
     except ValueError as exc:  # CliError, or a library error on a value the user gave
         print(f"error: {exc}", file=sys.stderr)

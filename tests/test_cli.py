@@ -296,6 +296,11 @@ class TestScalarRules:
             pytest.param("run", "tol = 1" + "0" * 400, "tol", id="run-tol-int-past-float"),
             pytest.param("run", "x0 = [1" + "0" * 400 + "]", "x0", id="run-x0-int-past-float"),
             ("run", "x0 = [1e999]", "x0"),
+            ("run", "max_iter = 2.7", "max_iter"),
+            ("analyze", "samples = 20.9", "samples"),
+            ("run", "seed = 1.5", "seed"),
+            ("run", "thetas = abc", "thetas"),
+            ("sweep", "thetas = ,", "thetas"),
         ],
     )
     def test_problem_file_value(self, tmp_path, capsys, command, line, key):
@@ -341,6 +346,71 @@ class TestScalarRules:
         assert "width" in capsys.readouterr().err
 
 
+class TestOneGrammar:
+    # Each row is (command, key, text, expected exit code). The value is
+    # given once as a problem-file line, once as a flag and, for analyze,
+    # once as a positional; every form must print and exit the same.
+    @pytest.mark.parametrize(
+        "command, key, text, code",
+        [
+            ("run", "guard_domain", "none", 0),
+            ("run", "guard_domain", "TRUE", 0),
+            ("run", "scheme", "foo", 1),
+            ("run", "format", "xml", 1),
+            ("run", "theta", "abc", 1),
+            ("run", "theta", "1e999", 1),
+            ("run", "max_iter", "2.5", 1),
+            ("run", "seed", "1.0", 0),
+            ("analyze", "seed", "1.0", 0),
+            ("analyze", "samples", "1e3", 0),
+        ],
+    )
+    def test_flag_file_and_positional_agree(self, tmp_path, capsys, command, key, text, code):
+        base = {"run": {"operator": "example_4_1", "x0": "[1]"},
+                "analyze": {"operator": "example_4_1", "samples": "50", "seed": "0"}}[command]
+        flag = f"--{key.replace('_', '-')}"
+        p = tmp_path / "problem.txt"
+        p.write_text(f"{key} = {text}\n")
+        flags = [arg for k, v in base.items() if k != key for arg in (f"--{k}", v)]
+        forms = [[command, "--problem", str(p), *flags], [command, *flags, flag, text]]
+        if command == "analyze":
+            forms.append([command, *{**base, key: text}.values()])
+        seen = []
+        for argv in forms:
+            exit_code = run_cli(*argv)
+            out, err = capsys.readouterr()
+            seen.append((exit_code, hashlib.sha256(out.encode()).hexdigest(), err))
+        assert seen[0][0] == code
+        assert seen == [seen[0]] * len(forms)
+        if code == 1:
+            assert seen[0][2].startswith(f"error: {key}")
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e999"])
+    def test_default_tol_env_must_be_finite(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("COUPLEDFIX_DEFAULT_TOL", value)
+        assert run_cli("run", "--operator", "example_4_1", "--x0", "[1]") == 1
+        assert "COUPLEDFIX_DEFAULT_TOL" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [(), ("run", "--operator", "example_4_1", "--x0", "[1]", "--bogus", "1")]
+    )
+    def test_usage_error_exits_1(self, capsys, argv):
+        assert run_cli(*argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    def test_help_names_the_words(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            run_cli("run", "--help")
+        assert stop.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for words in ("picard_double, krasnoselskij_diagonal, krasnoselskij_double", "json or csv",
+                      "true, false or auto"):
+            assert words in text
+
+
 finite_doubles = st.floats(allow_nan=False, allow_infinity=False)
 number_vectors = st.lists(finite_doubles, min_size=1, max_size=6)
 number_matrices = st.integers(min_value=1, max_value=4).flatmap(
@@ -365,6 +435,11 @@ class TestValueGrammar:
         err = capsys.readouterr().err
         assert f"x0: malformed array literal {literal!r}" in err
         assert "Traceback" not in err
+
+    def test_nesting_too_deep_to_read(self, capsys):
+        literal = "[" * 100_000 + "]" * 100_000
+        assert run_cli("run", "--operator", "example_4_1", "--x0", literal) == 1
+        assert capsys.readouterr().err.startswith("error: x0: malformed array literal '[[[")
 
     def test_non_number_matrix_entry_in_file(self, tmp_path, capsys):
         p = tmp_path / "problem.txt"
