@@ -69,8 +69,6 @@ _EXIT_BY_STATUS = {
     iteration.LEFT_DOMAIN: 3,
 }
 
-_DOUBLE_SCHEMES = (iteration.PICARD_DOUBLE, iteration.KRASNOSELSKIJ_DOUBLE)
-
 _GUARD_WORDS = {"true": True, "false": False, "auto": None, "none": None}
 _NUMBER_TYPES = frozenset({int, float})  # bool is neither
 
@@ -209,14 +207,15 @@ def parse_problem_file(path: str) -> dict:
     return values
 
 
-def _default_tol() -> float:
+def _env_tol() -> dict:
+    """``tol`` from COUPLEDFIX_DEFAULT_TOL when it is set, checked by ``SchemeConfig``."""
+    text = os.environ.get(DEFAULT_TOL_ENV)
+    if text is None:
+        return {}
     try:
-        tol = _parse_value("tol", os.environ.get(DEFAULT_TOL_ENV, "1e-10"))
-    except CliError as exc:
+        return {"tol": SchemeConfig(iteration.PICARD_DOUBLE, tol=_parse_value("tol", text)).tol}
+    except ValueError as exc:
         raise CliError(f"{DEFAULT_TOL_ENV}: {exc}") from None
-    if tol <= 0:
-        raise CliError(f"{DEFAULT_TOL_ENV}: tol must be positive, got {tol}")
-    return tol
 
 
 def _load_spec(args: argparse.Namespace) -> dict:
@@ -250,13 +249,11 @@ def _build_operator(spec: dict):
 
 
 def _build_config(spec: dict) -> SchemeConfig:
-    cfg = SchemeConfig(
+    return SchemeConfig(
         scheme=spec.get("scheme") or iteration.KRASNOSELSKIJ_DIAGONAL,
-        tol=spec["tol"] if "tol" in spec else _default_tol(),
-        **{key: spec[key] for key in ("theta", "max_iter", "guard_domain", "seed") if key in spec},
+        **({} if "tol" in spec else _env_tol()),
+        **{key: spec[key] for key in ("theta", "tol", "max_iter", "guard_domain", "seed") if key in spec},
     )
-    cfg.validate()
-    return cfg
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -273,10 +270,7 @@ def _build_run(spec: dict):
     cfg = _build_config(spec)
     if "x0" not in spec:
         raise CliError("x0: required but not given")
-    x0, y0 = spec["x0"], spec.get("y0")
-    if cfg.scheme in _DOUBLE_SCHEMES and y0 is None:
-        raise CliError(f"y0: required for scheme {cfg.scheme}")
-    return f, cfg, x0, y0
+    return f, cfg, spec["x0"], spec.get("y0")
 
 
 def _cmd_run(spec: dict) -> int:
@@ -339,7 +333,7 @@ def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
     schemes = ", ".join(iteration.SCHEMES)
     p.add_argument("--scheme", help=f"one of {schemes} (default: krasnoselskij_diagonal)")
     p.add_argument("--theta", help="weight on the operator image, in (0, 1)")
-    p.add_argument("--tol", help=f"residual tolerance (default: 1e-10, or ${DEFAULT_TOL_ENV})")
+    p.add_argument("--tol", help=f"residual tolerance (default: {SchemeConfig.tol:g}, or ${DEFAULT_TOL_ENV})")
     p.add_argument("--max-iter", dest="max_iter", help="integer step cap (default: 1000)")
     p.add_argument("--seed", help="integer recorded in the trace (default: 0)")
     p.add_argument(

@@ -35,6 +35,7 @@ runs share no mutable state and may execute concurrently.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -84,11 +85,14 @@ _CYCLE_MIN_AMPLITUDE = 1e-6
 class SchemeConfig:
     """Scheme selector plus numeric knobs for one iteration run.
 
-    ``theta`` is ignored by ``picard_double``. ``guard_domain=None`` means
-    automatic: off for operators that map their domain into themselves,
-    forced on otherwise. No scheme reads ``seed``: it is only carried into
-    the trace and its JSON, and it stays because the benchmark's trace
-    checks (``perfbench/checks.py``) compare it.
+    Typed and checked once, when built (also by ``dataclasses.replace`` and
+    ``trace_from_json``): ``theta`` and ``tol`` become floats, ``max_iter``
+    and ``seed`` ints, never rounded, and ``validate`` must pass; ``theta``
+    is ignored by ``picard_double``. ``guard_domain`` is a bool, or None
+    for automatic: off for operators that map their domain into
+    themselves, forced on otherwise. No scheme reads ``seed``; it travels
+    into the trace, where the benchmark's checks (``perfbench/checks.py``)
+    compare it.
     """
 
     scheme: str
@@ -98,16 +102,26 @@ class SchemeConfig:
     guard_domain: bool | None = None
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        for name, kind in (("theta", float), ("tol", float), ("max_iter", int), ("seed", int)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or kind is int and value % 1:  # nan % 1 is nan
+                raise ValueError(f"{name} must be {'an integer' if kind is int else 'a real number'}, got {value!r}")
+            object.__setattr__(self, name, kind(value))
+        if self.guard_domain is not None:
+            object.__setattr__(self, "guard_domain", bool(self.guard_domain))
+        self.validate()
+
     def validate(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.scheme != PICARD_DOUBLE and not 0.0 < float(self.theta) < 1.0:
+        if self.scheme != PICARD_DOUBLE and not 0.0 < self.theta < 1.0:
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
-        if not float(self.tol) > 0.0:
+        if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if float(self.tol) == math.inf:
+        if self.tol == math.inf:
             raise ValueError(f"tol must be finite, got {self.tol}")
-        if int(self.max_iter) < 1:
+        if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
@@ -201,7 +215,6 @@ def _run_loop(
 ) -> IterationTrace:
     if cfg.scheme != scheme:
         raise ValueError(f"config scheme is {cfg.scheme!r}, expected {scheme!r}")
-    cfg.validate()
     x = as_vector(x0, "x0")
     y = as_vector(y0, "y0")
     d = f.dim
@@ -219,7 +232,7 @@ def _run_loop(
     resolved = replace(cfg, guard_domain=guard)
 
     relaxed = cfg.scheme != PICARD_DOUBLE
-    theta = float(cfg.theta)
+    theta = cfg.theta
     one_minus_theta = 1.0 - theta
     box = f.domain
     escape_slack = 1e-12 * (1.0 + float(np.abs(np.concatenate([box.lower, box.upper])).max()))
@@ -227,7 +240,7 @@ def _run_loop(
     # to the float maximum they round to inf, which is what they mean there.
     low, high = box.lower - escape_slack, box.upper + escape_slack
 
-    rec = _Recorder(int(cfg.max_iter), target_v, TRACE_CAP)
+    rec = _Recorder(cfg.max_iter, target_v, TRACE_CAP)
     prev: tuple[np.ndarray, np.ndarray] | None = None
     prev2: tuple[np.ndarray, np.ndarray] | None = None
     last: tuple[int, np.ndarray, np.ndarray, float] | None = None
@@ -338,13 +351,11 @@ def picard_double(f: BivariateOperator, x0, y0, cfg: SchemeConfig, target=None) 
 
 
 def run_scheme(f: BivariateOperator, cfg: SchemeConfig, x0, y0=None, target=None) -> IterationTrace:
-    """Dispatch to the engine selected by ``cfg.scheme``."""
-    if cfg.scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {cfg.scheme!r}")
+    """Dispatch to the engine selected by ``cfg.scheme``; the double schemes need ``y0``."""
     if cfg.scheme == KRASNOSELSKIJ_DIAGONAL:
         return krasnoselskij_diagonal(f, x0, cfg, target)
     if y0 is None:
-        raise ValueError(f"y0 is required for scheme {cfg.scheme!r}")
+        raise ValueError(f"y0: required for scheme {cfg.scheme}")
     if cfg.scheme == KRASNOSELSKIJ_DOUBLE:
         return krasnoselskij_double(f, x0, y0, cfg, target)
     return picard_double(f, x0, y0, cfg, target)
@@ -402,8 +413,7 @@ def verify_fejer_monotonicity(trace: IterationTrace, p) -> DiagnosticReport:
     xs = np.asarray([it.x for it in trace.iterates], dtype=float)
     if xs.shape[1] != pv.shape[0]:
         raise ValueError(f"p has dimension {pv.shape[0]}, trace is {xs.shape[1]}-dimensional")
-    theta = float(cfg.theta)
-    a_sq = theta * (1.0 - theta)
+    a_sq = cfg.theta * (1.0 - cfg.theta)
     res = np.asarray(trace.residuals, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         sq_dists = ((xs - pv[None, :]) ** 2).sum(axis=1)

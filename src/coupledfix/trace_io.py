@@ -16,6 +16,7 @@ supplied).
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 
@@ -60,9 +61,9 @@ def trace_to_json(trace: IterationTrace) -> str:
             + "],\n"
         )
     out.write(f'  "operator_name": {json.dumps(trace.operator_name)},\n')
-    out.write(f'  "seed": {int(cfg.seed)},\n')
-    out.write(f'  "max_iter": {int(cfg.max_iter)},\n')
-    out.write(f'  "guard_domain": {json.dumps(bool(cfg.guard_domain))},\n')
+    out.write(f'  "seed": {cfg.seed},\n')
+    out.write(f'  "max_iter": {cfg.max_iter},\n')
+    out.write(f'  "guard_domain": {json.dumps(cfg.guard_domain)},\n')
     out.write(f'  "cycle_detected": {json.dumps(bool(trace.cycle_detected))}\n')
     out.write("}\n")
     return out.getvalue()
@@ -70,14 +71,7 @@ def trace_to_json(trace: IterationTrace) -> str:
 
 def trace_from_json(text: str) -> IterationTrace:
     doc = json.loads(text)
-    cfg = SchemeConfig(
-        scheme=doc["scheme"],
-        theta=float(doc["theta"]),
-        tol=float(doc["tol"]),
-        max_iter=int(doc["max_iter"]),
-        guard_domain=bool(doc["guard_domain"]),
-        seed=int(doc["seed"]),
-    )
+    cfg = SchemeConfig(**{field.name: doc[field.name] for field in dataclasses.fields(SchemeConfig)})
     iterates = [
         CoupledPair(np.asarray(e["x"], dtype=float), np.asarray(e["y"], dtype=float))
         for e in doc["iterates"]

@@ -501,6 +501,37 @@ class TestAnalyze:
         assert doc["samples_used"] == 150
 
 
+class TestSettingsOwner:
+    # SchemeConfig owns the default tolerance and run_scheme the y0 rule; the
+    # CLI reports their errors after its own.
+    def test_default_tol_is_the_config_default(self, capsys, monkeypatch):
+        monkeypatch.delenv("COUPLEDFIX_DEFAULT_TOL", raising=False)
+        assert run_cli("run", "--operator", "example_4_1", "--x0", "[1]") == 0
+        assert json.loads(capsys.readouterr().out)["tol"] == SchemeConfig.tol
+
+    def test_env_not_read_when_tol_given(self, capsys, monkeypatch):
+        monkeypatch.setenv("COUPLEDFIX_DEFAULT_TOL", "loose")
+        assert run_cli("run", "--operator", "example_4_1", "--x0", "[1]", "--tol", "1e-9") == 0
+        assert json.loads(capsys.readouterr().out)["tol"] == 1e-9
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (("run", "--operator", "example_2_1", "--scheme", "krasnoselskij_double", "--x0", "[1]"),
+             "error: y0: required for scheme krasnoselskij_double\n"),
+            (("run", "--operator", "example_2_1", "--scheme", "picard_double", "--x0", "[1]",
+              "--format", "xml"),
+             "error: format: must be json or csv, got 'xml'\n"),
+            (("sweep", "--operator", "example_4_1", "--scheme", "picard_double", "--x0", "[1]",
+              "--thetas", "0.5"),
+             "error: scheme: sweep varies theta, which picard_double ignores\n"),
+        ],
+    )
+    def test_first_error(self, capsys, argv, err):
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr() == ("", err)
+
+
 class TestSweep:
     def test_minimum_at_half(self, capsys):
         thetas = ",".join(str(t / 10) for t in range(1, 10))

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -78,6 +79,43 @@ class TestConfigValidation:
         f = get_operator("example_4_1")
         with pytest.raises(ValueError, match="scheme"):
             krasnoselskij_diagonal(f, [1.0], cfg(PICARD_DOUBLE))
+
+
+class TestConfigTypedOnce:
+    # A config is typed and checked when it is built, whoever builds it.
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_iter", 2.5), ("max_iter", float("inf")), ("max_iter", float("nan")), ("seed", 1.5),
+         ("max_iter", "3"), ("theta", "0.5"), ("tol", None)],
+    )
+    def test_bad_type_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            cfg(KRASNOSELSKIJ_DIAGONAL, **{field: value})
+
+    def test_fields_are_typed(self):
+        c = cfg(
+            KRASNOSELSKIJ_DIAGONAL, theta=np.float64(0.25), tol=1, max_iter=np.int64(7),
+            seed=3.0, guard_domain=np.bool_(True),
+        )
+        assert [type(v) for v in (c.theta, c.tol, c.max_iter, c.seed, c.guard_domain)] == [
+            float, float, int, int, bool
+        ]
+        assert (c.theta, c.tol, c.max_iter, c.seed, c.guard_domain) == (0.25, 1.0, 7, 3, True)
+        assert cfg(KRASNOSELSKIJ_DIAGONAL).guard_domain is None
+
+    def test_replace_is_checked(self):
+        base = cfg(KRASNOSELSKIJ_DIAGONAL, theta=0.5)
+        with pytest.raises(ValueError, match="theta"):
+            dataclasses.replace(base, theta=1.5)
+        with pytest.raises(ValueError, match="max_iter"):
+            dataclasses.replace(base, max_iter=2.5)
+        assert type(dataclasses.replace(base, max_iter=4.0).max_iter) is int
+
+    def test_run_scheme_names_missing_y0(self):
+        f = get_operator("example_4_1")
+        for scheme in (PICARD_DOUBLE, KRASNOSELSKIJ_DOUBLE):
+            with pytest.raises(ValueError, match=f"^y0: required for scheme {scheme}$"):
+                run_scheme(f, cfg(scheme), [1.0])
 
 
 class TestDiagonalScheme:

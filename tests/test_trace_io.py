@@ -110,6 +110,17 @@ class TestJsonRoundTrip:
         assert again.step_indices == trace.step_indices
 
 
+class TestJsonRejects:
+    @pytest.mark.parametrize(
+        "key, value", [("scheme", "banach"), ("theta", 7), ("max_iter", 2.5), ("seed", "0"), ("tol", 0)]
+    )
+    def test_invalid_config_names_the_field(self, key, value):
+        doc = json.loads(trace_to_json(sample_traces()[0]))
+        doc[key] = value
+        with pytest.raises(ValueError, match=f"^{key}"):
+            trace_from_json(json.dumps(doc))
+
+
 class TestCsv:
     def test_columns_and_values(self):
         trace = sample_traces()[1]
