@@ -121,6 +121,31 @@ class TestJsonRejects:
             trace_from_json(json.dumps(doc))
 
 
+    @pytest.mark.parametrize("key", sorted(json.loads(trace_to_json(sample_traces()[1]))))
+    def test_missing_key_named(self, key):
+        doc = json.loads(trace_to_json(sample_traces()[1]))
+        del doc[key]
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            trace_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["n", "x", "y"])
+    def test_missing_iterate_key_named(self, key):
+        doc = json.loads(trace_to_json(sample_traces()[1]))
+        del doc["iterates"][1][key]
+        with pytest.raises(ValueError, match=f"iterates\\[1\\].*'{key}'"):
+            trace_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["residuals", "distances"])
+    def test_list_length_must_match_iterates(self, key):
+        doc = json.loads(trace_to_json(sample_traces()[1]))
+        for name in ("iterates", "residuals", "distances"):
+            doc[name] = doc[name][:2]
+        trace_from_json(json.dumps(doc))
+        for bad in (doc[key][:1], doc[key] * 2):
+            with pytest.raises(ValueError, match=f"^{key} has {len(bad)} entries, iterates has 2$"):
+                trace_from_json(json.dumps({**doc, key: bad}))
+
+
 class TestCsv:
     def test_columns_and_values(self):
         trace = sample_traces()[1]
