@@ -69,16 +69,31 @@ def trace_to_json(trace: IterationTrace) -> str:
     return out.getvalue()
 
 
+_CONFIG_KEYS = tuple(field.name for field in dataclasses.fields(SchemeConfig))
+_TRACE_KEYS = ("status", "iterates", "residuals", "distances", "operator_name", "cycle_detected")
+
+
 def trace_from_json(text: str) -> IterationTrace:
+    """Parse what ``trace_to_json`` wrote; a ``ValueError`` names what is wrong."""
     doc = json.loads(text)
-    cfg = SchemeConfig(**{field.name: doc[field.name] for field in dataclasses.fields(SchemeConfig)})
-    iterates = [
-        CoupledPair(np.asarray(e["x"], dtype=float), np.asarray(e["y"], dtype=float))
-        for e in doc["iterates"]
-    ]
-    distances = doc["distances"]
+    missing = [key for key in (*_CONFIG_KEYS, *_TRACE_KEYS) if key not in doc]
+    if missing:
+        raise ValueError(f"trace has no {missing[0]!r} key")
+    cfg = SchemeConfig(**{key: doc[key] for key in _CONFIG_KEYS})
+    entries, distances = doc["iterates"], doc["distances"]
+    for key in ("residuals",) if distances is None else ("residuals", "distances"):
+        if len(doc[key]) != len(entries):
+            raise ValueError(f"{key} has {len(doc[key])} entries, iterates has {len(entries)}")
+    try:
+        steps = [int(e["n"]) for e in entries]
+        iterates = [
+            CoupledPair(np.asarray(e["x"], dtype=float), np.asarray(e["y"], dtype=float)) for e in entries
+        ]
+    except KeyError as exc:
+        k = next(k for k, e in enumerate(entries) if exc.args[0] not in e)
+        raise ValueError(f"iterates[{k}] has no {exc.args[0]!r} key") from None
     return IterationTrace(
-        step_indices=[int(e["n"]) for e in doc["iterates"]],
+        step_indices=steps,
         iterates=iterates,
         residuals=[float(r) for r in doc["residuals"]],
         distances_to_target=None if distances is None else [float(d) for d in distances],
