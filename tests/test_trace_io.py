@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from coupledfix import (
     KRASNOSELSKIJ_DIAGONAL,
     KRASNOSELSKIJ_DOUBLE,
     PICARD_DOUBLE,
+    BivariateOperator,
+    Box,
     SchemeConfig,
     get_operator,
     krasnoselskij_diagonal,
@@ -108,6 +111,35 @@ class TestJsonRoundTrip:
         again = trace_from_json(trace_to_json(trace))
         assert again == trace
         assert again.step_indices == trace.step_indices
+
+
+def flip():
+    # F(x, y) = -x on the widest box: from 1.7e308 every residual |x - F| overflows to inf.
+    big = np.finfo(float).max
+    return BivariateOperator(
+        name="flip", domain=Box([-big], [big]), evaluator=lambda x, y: -x, range_in_domain=True
+    )
+
+
+class TestInfiniteResidual:
+    def trace(self):
+        cfg = SchemeConfig(PICARD_DOUBLE, max_iter=50)
+        return picard_double(flip(), [1.7e308], [1.7e308], cfg, target=[0.0])
+
+    def test_every_residual_is_inf(self):
+        trace = self.trace()
+        assert trace.residuals == [math.inf] * len(trace.iterates)
+        assert all(np.isfinite(p.x).all() and np.isfinite(p.y).all() for p in trace.iterates)
+
+    def test_json_round_trip(self):
+        trace = self.trace()
+        text = trace_to_json(trace)
+        assert trace_from_json(text) == trace
+        assert json.loads(text)["residuals"][0] == math.inf
+
+    def test_csv_keeps_inf(self):
+        row = trace_to_csv(self.trace()).split("\n")[1].split(",")
+        assert float(row[-2]) == math.inf
 
 
 class TestJsonRejects:
