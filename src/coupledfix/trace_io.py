@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import math
 
 import numpy as np
 
@@ -31,6 +32,12 @@ __all__ = ["format_float", "trace_to_json", "trace_from_json", "trace_to_csv"]
 def format_float(v: float) -> str:
     """17-significant-digit decimal form; parses back to the identical double."""
     return format(float(v), ".17g")
+
+
+def _json_float(v: float) -> str:
+    # Residuals and distances are norms, so +inf is the one non-finite value
+    # a trace holds; JSON has no word for it, and json.loads reads 1e999 as inf.
+    return "1e999" if v == math.inf else format_float(v)
 
 
 def _vec(v: np.ndarray) -> str:
@@ -51,13 +58,13 @@ def trace_to_json(trace: IterationTrace) -> str:
         rows.append(f'    {{"n": {n}, "x": {_vec(pair.x)}, "y": {_vec(pair.y)}}}')
     out.write(",\n".join(rows))
     out.write("\n  ],\n")
-    out.write('  "residuals": [' + ", ".join(format_float(r) for r in trace.residuals) + "],\n")
+    out.write('  "residuals": [' + ", ".join(map(_json_float, trace.residuals)) + "],\n")
     if trace.distances_to_target is None:
         out.write('  "distances": null,\n')
     else:
         out.write(
             '  "distances": ['
-            + ", ".join(format_float(d) for d in trace.distances_to_target)
+            + ", ".join(map(_json_float, trace.distances_to_target))
             + "],\n"
         )
     out.write(f'  "operator_name": {json.dumps(trace.operator_name)},\n')
