@@ -1,15 +1,19 @@
 import hashlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 import coupledfix.iteration as iteration_mod
 from coupledfix import (
     KRASNOSELSKIJ_DIAGONAL,
     KRASNOSELSKIJ_DOUBLE,
     PICARD_DOUBLE,
+    SCHEMES,
     BivariateOperator,
     Box,
     SchemeConfig,
@@ -140,6 +144,59 @@ class TestInfiniteResidual:
     def test_csv_keeps_inf(self):
         row = trace_to_csv(self.trace()).split("\n")[1].split(",")
         assert float(row[-2]) == math.inf
+
+
+def _drawn_problem(kind, d, seed):
+    """(operator, x0, y0, target) of one drawn run."""
+    rng = np.random.default_rng(seed)
+    if kind == "linear":
+        f = random_linear_operator(rng, d=d)
+        return f, sample_in_box(rng, f.domain), sample_in_box(rng, f.domain), f.known_coupled_fixed_points[0].x
+    if kind == "flip":
+        return flip(), [1.7e308], [1.7e308], [0.0]
+    return _BROKEN_OPERATORS[kind](), rng.uniform(-1.0, 1.0, 1), rng.uniform(-1.0, 1.0, 1), [0.0]
+
+
+_RUN = dict(
+    kind="linear", d=1, seed=0, scheme=PICARD_DOUBLE, theta=0.5, tol=1e-12, max_iter=50,
+    guard=None, cfg_seed=0, with_target=True, cap=iteration_mod.TRACE_CAP,
+)
+drawn_runs = st.fixed_dictionaries({
+    "kind": st.sampled_from(["linear", "escaper", "undefined_outside", "blowup", "flip"]),
+    "d": st.integers(1, 5),
+    "seed": st.integers(0, 2**32 - 1),
+    "scheme": st.sampled_from(SCHEMES),
+    "theta": st.floats(0.01, 0.99),
+    "tol": st.sampled_from([1e-300, 1e-12, 1e-6]),
+    "max_iter": st.integers(1, 80),
+    "guard": st.sampled_from([None, True, False]),
+    "cfg_seed": st.integers(0, 2**63 - 1),
+    "with_target": st.booleans(),
+    "cap": st.sampled_from([2, 7, iteration_mod.TRACE_CAP]),  # small caps thin the trace
+})
+
+
+@settings(deadline=None, max_examples=150)
+@given(drawn_runs)
+@example({**_RUN, "kind": "flip"})  # every residual is inf
+@example({**_RUN, "scheme": KRASNOSELSKIJ_DOUBLE, "d": 3, "max_iter": 1000})  # converged
+@example({**_RUN, "max_iter": 40, "cap": 7})  # max_iter_reached, thinned
+@example({**_RUN, "kind": "escaper", "scheme": KRASNOSELSKIJ_DIAGONAL})  # left_domain
+@example({**_RUN, "kind": "undefined_outside", "scheme": KRASNOSELSKIJ_DOUBLE})  # left_domain
+@example({**_RUN, "kind": "blowup"})  # diverged_nonfinite
+def test_json_round_trip_property(run):
+    f, x0, y0, target = _drawn_problem(run["kind"], run["d"], run["seed"])
+    cfg = SchemeConfig(
+        run["scheme"], theta=run["theta"], tol=run["tol"], max_iter=run["max_iter"],
+        guard_domain=run["guard"], seed=run["cfg_seed"],
+    )
+    with mock.patch.object(iteration_mod, "TRACE_CAP", run["cap"]):
+        trace = run_scheme(f, cfg, x0, y0, target if run["with_target"] else None)
+    event(trace.status)
+    text = trace_to_json(trace)
+    again = trace_from_json(text)
+    assert again == trace
+    assert trace_to_json(again) == text
 
 
 class TestJsonRejects:
