@@ -70,6 +70,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="max_iter"):
             cfg(KRASNOSELSKIJ_DIAGONAL, max_iter=0).validate()
 
+    @pytest.mark.parametrize("x0, y0", [([0.5], [0.5, 0.5]), ([0.5, 0.5, 0.5], [0.5])])
+    def test_start_dimension_names_the_bad_start(self, x0, y0):
+        f = get_operator("example_4_1")
+        bad = max(len(x0), len(y0))
+        with pytest.raises(ValueError, match=f"^initial point has dimension {bad}, operator expects 1$"):
+            krasnoselskij_double(f, x0, y0, cfg(KRASNOSELSKIJ_DOUBLE))
+
     def test_start_outside_domain(self):
         f = get_operator("example_4_1")
         with pytest.raises(ValueError, match="x0"):

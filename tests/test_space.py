@@ -162,6 +162,10 @@ class TestConvexIdentityDefect:
         with pytest.raises(ValueError, match="dimension mismatch"):
             convex_identity_defect(0.5, [1.0], [2.0], [1.0, 2.0])
 
+    def test_xy_mismatch_names_this_function(self):
+        with pytest.raises(ValueError, match=r"^dimension mismatch in convex_identity_defect: 1 vs 2$"):
+            convex_identity_defect(0.5, [1.0], [2.0, 3.0], [1.0])
+
 
 class TestBox:
     def test_bounds_validated(self):
