@@ -218,8 +218,9 @@ def _run_loop(
     x = as_vector(x0, "x0")
     y = as_vector(y0, "y0")
     d = f.dim
-    if x.shape[0] != d or y.shape[0] != d:
-        raise ValueError(f"initial point has dimension {x.shape[0]}, operator expects {d}")
+    for v in (x, y):
+        if v.shape[0] != d:
+            raise ValueError(f"initial point has dimension {v.shape[0]}, operator expects {d}")
     if not f.domain.contains(x):
         raise ValueError(f"x0 = {x.tolist()} lies outside the operator domain")
     if not f.domain.contains(y):

@@ -118,7 +118,7 @@ def convex_identity_defect(lam: float, x, y, z) -> float:
     _require_same_dim(xv, zv, "convex_identity_defect")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    _require_same_dim(xv, yv, "convex_combination")
+    _require_same_dim(xv, yv, "convex_identity_defect")
     w = lam * xv + (1.0 - lam) * yv - zv
     lhs = float(np.dot(w, w))
     dx = xv - zv
