@@ -31,7 +31,7 @@ def as_vector(value, name: str = "vector") -> np.ndarray:
         arr = arr.reshape(1)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"{name} must be a 1-D sequence of reals, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:  # one C call; .all() goes through Python
         raise ValueError(f"{name} has non-finite coordinates")
     return arr
 
@@ -41,7 +41,7 @@ def _as_rows(value, name: str) -> np.ndarray:
     arr = np.array(value, dtype=float)
     if arr.ndim != 2 or arr.size < 1:
         raise ValueError(f"{name} must be a block of rows (n, d) of reals, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise ValueError(f"{name} has non-finite coordinates")
     return arr
 
