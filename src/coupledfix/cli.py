@@ -39,7 +39,7 @@ file). A flag wins over an ``analyze`` positional, which wins over the file.
 Exit codes for ``run``: 0 converged, 2 max_iter_reached (including
 detected cycles), 3 diverged or left the domain, 1 malformed input or a
 usage error such as an unknown flag. The default residual tolerance is
-1e-10; the COUPLEDFIX_DEFAULT_TOL environment variable overrides it.
+``SchemeConfig``'s; COUPLEDFIX_DEFAULT_TOL, when set, overrides it.
 """
 
 from __future__ import annotations

@@ -9,9 +9,16 @@ the in-memory original. Top-level fields:
     residuals, distances (array or null), operator_name, seed,
     max_iter, guard_domain, cycle_detected
 
+Iterates are finite; a residual or distance that overflowed is +inf,
+which JSON cannot spell, so it is written as ``1e999`` (read back as inf).
+``trace_from_json`` raises a ``ValueError`` naming what is wrong: a
+missing key, a ``residuals`` or ``distances`` list whose length differs
+from ``iterates``, or a config that ``SchemeConfig`` rejects (an unknown
+scheme, theta outside (0, 1), a non-integral ``max_iter`` or ``seed``, ...).
+
 CSV output has columns ``n, x0..x{d-1}, y0..y{d-1}, residual,
 distance_to_target`` (the last column is empty when no reference point was
-supplied).
+supplied); an infinite residual is written as ``inf``.
 """
 
 from __future__ import annotations
