@@ -99,6 +99,12 @@ class TestConfigTypedOnce:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             cfg(KRASNOSELSKIJ_DIAGONAL, **{field: value})
 
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf")])
+    def test_picard_theta_must_be_finite(self, theta):
+        # picard_double ignores theta, but the trace JSON carries it, and JSON has no nan or inf.
+        with pytest.raises(ValueError, match="^theta must be finite"):
+            cfg(PICARD_DOUBLE, theta=theta)
+
     def test_fields_are_typed(self):
         c = cfg(
             KRASNOSELSKIJ_DIAGONAL, theta=np.float64(0.25), tol=1, max_iter=np.int64(7),
