@@ -88,7 +88,8 @@ class SchemeConfig:
     Typed and checked once, when built (also by ``dataclasses.replace`` and
     ``trace_from_json``): ``theta`` and ``tol`` become floats, ``max_iter``
     and ``seed`` ints, never rounded, and ``validate`` must pass; ``theta``
-    is ignored by ``picard_double``. ``guard_domain`` is a bool, or None
+    is ignored by ``picard_double`` but must still be finite, since the
+    trace's JSON carries it. ``guard_domain`` is a bool, or None
     for automatic: off for operators that map their domain into
     themselves, forced on otherwise. No scheme reads ``seed``; it travels
     into the trace, where the benchmark's checks (``perfbench/checks.py``)
@@ -117,6 +118,8 @@ class SchemeConfig:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.scheme != PICARD_DOUBLE and not 0.0 < self.theta < 1.0:
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
+        if not math.isfinite(self.theta):  # picard_double ignores it, but its trace JSON carries it
+            raise ValueError(f"theta must be finite, got {self.theta}")
         if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.tol == math.inf:
