@@ -93,10 +93,13 @@ class TestConfigTypedOnce:
     @pytest.mark.parametrize(
         "field, value",
         [("max_iter", 2.5), ("max_iter", float("inf")), ("max_iter", float("nan")), ("seed", 1.5),
-         ("max_iter", "3"), ("theta", "0.5"), ("tol", None)],
+         ("max_iter", "3"), ("theta", "0.5"), ("tol", None),
+         pytest.param("max_iter", np.float64("inf"), id="max_iter-numpy-inf"),
+         pytest.param("theta", 10**400, id="theta-int-past-float-range")],
     )
     def test_bad_type_names_the_field(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be"):
+        with warnings.catch_warnings(), pytest.raises(ValueError, match=f"^{field} must be"):
+            warnings.simplefilter("error")
             cfg(KRASNOSELSKIJ_DIAGONAL, **{field: value})
 
     @pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf")])
