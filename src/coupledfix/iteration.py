@@ -106,9 +106,13 @@ class SchemeConfig:
     def __post_init__(self) -> None:
         for name, kind in (("theta", float), ("tol", float), ("max_iter", int), ("seed", int)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or kind is int and value % 1:  # nan % 1 is nan
+            try:
+                typed = kind(value) if isinstance(value, numbers.Real) else None
+            except (ValueError, OverflowError):  # int() of nan or inf, float() of a huge int
+                typed = None
+            if typed is None or kind is int and typed != value:
                 raise ValueError(f"{name} must be {'an integer' if kind is int else 'a real number'}, got {value!r}")
-            object.__setattr__(self, name, kind(value))
+            object.__setattr__(self, name, typed)
         if self.guard_domain is not None:
             object.__setattr__(self, "guard_domain", bool(self.guard_domain))
         self.validate()
