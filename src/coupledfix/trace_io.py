@@ -3,11 +3,9 @@
 The JSON schema is a bit-exact contract: every float is written with 17
 significant digits, which round-trips double precision exactly, so a trace
 parsed back from its JSON form compares equal (bitwise on coordinates) to
-the in-memory original. Top-level fields:
-
-    scheme, theta, tol, status, iterates (array of {n, x, y}),
-    residuals, distances (array or null), operator_name, seed,
-    max_iter, guard_domain, cycle_detected
+the in-memory original. The top-level keys, their order and how each is
+written are declared once, in ``_KEYS``; ``iterates`` is an array of
+{n, x, y}, and ``distances`` is null when no reference point was given.
 
 Iterates are finite; a residual or distance that overflowed is +inf,
 which JSON cannot spell, so it is written as ``1e999`` (read back as inf).
@@ -24,11 +22,8 @@ supplied); an infinite residual is written as ``inf``.
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 import math
-
-import numpy as np
 
 from .iteration import IterationTrace, SchemeConfig
 from .operators import CoupledPair
@@ -47,50 +42,47 @@ def _json_float(v: float) -> str:
     return "1e999" if v == math.inf else format_float(v)
 
 
-def _vec(v: np.ndarray) -> str:
-    return "[" + ", ".join(format_float(c) for c in v) + "]"
+def _array(values) -> str:
+    return "[" + ", ".join(map(_json_float, values)) + "]"
+
+
+def _iterates(trace: IterationTrace) -> str:
+    rows = [
+        f'    {{"n": {n}, "x": {_array(p.x.tolist())}, "y": {_array(p.y.tolist())}}}'
+        for n, p in zip(trace.step_indices, trace.iterates)
+    ]
+    return "[\n" + ",\n".join(rows) + "\n  ]"
+
+
+# The top-level keys in file order, each with its writer; trace_from_json
+# requires exactly these keys.
+_KEYS = {
+    "scheme": lambda t: json.dumps(t.scheme_config.scheme),
+    "theta": lambda t: format_float(t.scheme_config.theta),
+    "tol": lambda t: format_float(t.scheme_config.tol),
+    "status": lambda t: json.dumps(t.status),
+    "iterates": _iterates,
+    "residuals": lambda t: _array(t.residuals),
+    "distances": lambda t: "null" if t.distances_to_target is None else _array(t.distances_to_target),
+    "operator_name": lambda t: json.dumps(t.operator_name),
+    "seed": lambda t: str(t.scheme_config.seed),
+    "max_iter": lambda t: str(t.scheme_config.max_iter),
+    "guard_domain": lambda t: json.dumps(t.scheme_config.guard_domain),
+    "cycle_detected": lambda t: json.dumps(bool(t.cycle_detected)),
+}
 
 
 def trace_to_json(trace: IterationTrace) -> str:
-    cfg = trace.scheme_config
-    out = io.StringIO()
-    out.write("{\n")
-    out.write(f'  "scheme": {json.dumps(cfg.scheme)},\n')
-    out.write(f'  "theta": {format_float(cfg.theta)},\n')
-    out.write(f'  "tol": {format_float(cfg.tol)},\n')
-    out.write(f'  "status": {json.dumps(trace.status)},\n')
-    out.write('  "iterates": [\n')
-    rows = []
-    for n, pair in zip(trace.step_indices, trace.iterates):
-        rows.append(f'    {{"n": {n}, "x": {_vec(pair.x)}, "y": {_vec(pair.y)}}}')
-    out.write(",\n".join(rows))
-    out.write("\n  ],\n")
-    out.write('  "residuals": [' + ", ".join(map(_json_float, trace.residuals)) + "],\n")
-    if trace.distances_to_target is None:
-        out.write('  "distances": null,\n')
-    else:
-        out.write(
-            '  "distances": ['
-            + ", ".join(map(_json_float, trace.distances_to_target))
-            + "],\n"
-        )
-    out.write(f'  "operator_name": {json.dumps(trace.operator_name)},\n')
-    out.write(f'  "seed": {cfg.seed},\n')
-    out.write(f'  "max_iter": {cfg.max_iter},\n')
-    out.write(f'  "guard_domain": {json.dumps(cfg.guard_domain)},\n')
-    out.write(f'  "cycle_detected": {json.dumps(bool(trace.cycle_detected))}\n')
-    out.write("}\n")
-    return out.getvalue()
+    return "{\n" + ",\n".join(f'  "{key}": {write(trace)}' for key, write in _KEYS.items()) + "\n}\n"
 
 
 _CONFIG_KEYS = tuple(field.name for field in dataclasses.fields(SchemeConfig))
-_TRACE_KEYS = ("status", "iterates", "residuals", "distances", "operator_name", "cycle_detected")
 
 
 def trace_from_json(text: str) -> IterationTrace:
     """Parse what ``trace_to_json`` wrote; a ``ValueError`` names what is wrong."""
     doc = json.loads(text)
-    missing = [key for key in (*_CONFIG_KEYS, *_TRACE_KEYS) if key not in doc]
+    missing = [key for key in _KEYS if key not in doc]
     if missing:
         raise ValueError(f"trace has no {missing[0]!r} key")
     cfg = SchemeConfig(**{key: doc[key] for key in _CONFIG_KEYS})
@@ -100,9 +92,7 @@ def trace_from_json(text: str) -> IterationTrace:
             raise ValueError(f"{key} has {len(doc[key])} entries, iterates has {len(entries)}")
     try:
         steps = [int(e["n"]) for e in entries]
-        iterates = [
-            CoupledPair(np.asarray(e["x"], dtype=float), np.asarray(e["y"], dtype=float)) for e in entries
-        ]
+        iterates = [CoupledPair(e["x"], e["y"]) for e in entries]
     except KeyError as exc:
         k = next(k for k, e in enumerate(entries) if exc.args[0] not in e)
         raise ValueError(f"iterates[{k}] has no {exc.args[0]!r} key") from None
@@ -130,8 +120,8 @@ def trace_to_csv(trace: IterationTrace) -> str:
     dists = trace.distances_to_target
     for k, (n, pair) in enumerate(zip(trace.step_indices, trace.iterates)):
         cells = [str(n)]
-        cells.extend(format_float(c) for c in pair.x)
-        cells.extend(format_float(c) for c in pair.y)
+        cells.extend(map(format_float, pair.x.tolist()))
+        cells.extend(map(format_float, pair.y.tolist()))
         cells.append(format_float(trace.residuals[k]))
         cells.append("" if dists is None else format_float(dists[k]))
         lines.append(",".join(cells))
