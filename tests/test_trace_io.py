@@ -235,6 +235,99 @@ class TestJsonRejects:
                 trace_from_json(json.dumps({**doc, key: bad}))
 
 
+def _short_doc():
+    # The first four entries of a diagonal trace with a target: steps 0..3.
+    doc = json.loads(trace_to_json(sample_traces()[1]))
+    for name in ("iterates", "residuals", "distances"):
+        doc[name] = doc[name][:4]
+    trace_from_json(json.dumps(doc))
+    return doc
+
+
+class TestJsonRejectsWhatTheWriterCannotWrite:
+    @pytest.mark.parametrize(
+        "steps, k",
+        [([0, 1.5, 2, 3], 1), ([0, 1, 7, 3], 3), ([1, 2, 3, 4], 0), ([0, 1, 1, 2], 2), ([0, True, 2, 3], 1)],
+    )
+    def test_step_indices_rise_from_zero(self, steps, k):
+        doc = _short_doc()
+        for entry, n in zip(doc["iterates"], steps):
+            entry["n"] = n
+        with pytest.raises(ValueError, match=rf"^iterates\[{k}\] has n = {steps[k]}: step indices are integers"):
+            trace_from_json(json.dumps(doc))
+
+    def test_iterates_share_one_dimension(self):
+        doc = _short_doc()
+        doc["iterates"][2].update(x=[0.25, 0.5], y=[0.25, 0.5])
+        with pytest.raises(ValueError, match=r"^iterates\[2\] has dimension 2, iterates\[0\] has 1$"):
+            trace_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "coordinates", [["0.5"], [True], 0.5, [[0.5]], [], "ab", None, [10**400], [float("nan")]]
+    )
+    def test_coordinates_are_arrays_of_finite_numbers(self, coordinates):
+        doc = _short_doc()
+        doc["iterates"][1]["y"] = coordinates
+        with pytest.raises(ValueError, match=r"^iterates\[1\]: "):
+            trace_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("entry", [5, [0, [1.0], [1.0]], {"n": 1, "x": [0.5], "y": [0.5], "z": 1}])
+    def test_each_iterate_is_an_object_with_keys_n_x_y(self, entry):
+        doc = _short_doc()
+        doc["iterates"][1] = entry
+        with pytest.raises(ValueError, match=r"^iterates\[1\] "):
+            trace_from_json(json.dumps(doc))
+
+    def test_iterates_not_empty(self):
+        doc = {**_short_doc(), "iterates": [], "residuals": [], "distances": []}
+        with pytest.raises(ValueError, match="^iterates must be a non-empty array"):
+            trace_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("status", ["done", "CONVERGED", 5, None])
+    def test_status_is_one_of_four(self, status):
+        with pytest.raises(ValueError, match="^status must be one of"):
+            trace_from_json(json.dumps({**_short_doc(), "status": status}))
+
+    @pytest.mark.parametrize("key", ["cycle_detected", "guard_domain"])
+    @pytest.mark.parametrize("value", ["no", "false", 1, 0, None])
+    def test_flags_are_json_booleans(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be a boolean"):
+            trace_from_json(json.dumps({**_short_doc(), key: value}))
+
+    @pytest.mark.parametrize("key", ["residuals", "distances"])
+    @pytest.mark.parametrize("value", ["nan", True, float("nan"), -0.5, None, [1.0], 10**400])
+    def test_norms_are_numbers_at_least_zero(self, key, value):
+        doc = _short_doc()
+        doc[key][2] = value
+        with pytest.raises(ValueError, match=rf"^{key}\[2\] must be a number >= 0"):
+            trace_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["iterates", "residuals", "distances"])
+    def test_lists_are_json_arrays(self, key):
+        doc = _short_doc()
+        with pytest.raises(ValueError, match=f"^{key} must be "):
+            trace_from_json(json.dumps({**doc, key: {str(k): v for k, v in enumerate(doc[key])}}))
+
+    @pytest.mark.parametrize("name", [5, None, ["example_4_1"]])
+    def test_operator_name_is_a_string(self, name):
+        with pytest.raises(ValueError, match="^operator_name must be a string"):
+            trace_from_json(json.dumps({**_short_doc(), "operator_name": name}))
+
+    @pytest.mark.parametrize("key, value", [("max_iter", True), ("max_iter", 40.0), ("seed", 0.0), ("theta", False)])
+    def test_config_numbers_have_their_json_type(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be "):
+            trace_from_json(json.dumps({**_short_doc(), key: value}))
+
+    def test_unknown_key_named(self):
+        with pytest.raises(ValueError, match="^trace has an unknown key 'schema'$"):
+            trace_from_json(json.dumps({**_short_doc(), "schema": 1}))
+
+    @pytest.mark.parametrize("text", ["[]", "5", '"trace"', "null"])
+    def test_document_is_an_object(self, text):
+        with pytest.raises(ValueError, match="^trace must be a JSON object"):
+            trace_from_json(text)
+
+
 class TestCsv:
     def test_columns_and_values(self):
         trace = sample_traces()[1]
