@@ -26,7 +26,10 @@ __all__ = [
 
 def as_vector(value, name: str = "vector") -> np.ndarray:
     """Coerce ``value`` to a finite 1-D float64 array (always a fresh copy)."""
-    arr = np.array(value, dtype=float)
+    try:
+        arr = np.array(value, dtype=float)
+    except OverflowError:  # an int past the float range
+        raise ValueError(f"{name} has non-finite coordinates") from None
     if arr.ndim == 0:
         arr = arr.reshape(1)
     if arr.ndim != 1 or arr.size < 1:

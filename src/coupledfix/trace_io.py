@@ -24,8 +24,16 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import reprlib
 
-from .iteration import IterationTrace, SchemeConfig
+from .iteration import (
+    CONVERGED,
+    DIVERGED_NONFINITE,
+    LEFT_DOMAIN,
+    MAX_ITER_REACHED,
+    IterationTrace,
+    SchemeConfig,
+)
 from .operators import CoupledPair
 
 __all__ = ["format_float", "trace_to_json", "trace_from_json", "trace_to_csv"]
@@ -54,62 +62,112 @@ def _iterates(trace: IterationTrace) -> str:
     return "[\n" + ",\n".join(rows) + "\n  ]"
 
 
-# The top-level keys in file order, each with its writer; trace_from_json
-# requires exactly these keys.
+def _kind(name: str, *types: type):
+    # A JSON value kind: its name in error messages, and a test of a parsed value.
+    return name, lambda v: type(v) in types
+
+
+_STRING = _kind("a string", str)
+_NUMBER = _kind("a number", float, int)
+_INTEGER = _kind("an integer", int)
+_BOOLEAN = _kind("a boolean", bool)
+_STATUSES = (CONVERGED, MAX_ITER_REACHED, DIVERGED_NONFINITE, LEFT_DOMAIN)
+
+# The top-level keys in file order, each with its writer and the kind of
+# value trace_from_json accepts for it; a trace has exactly these keys.
 _KEYS = {
-    "scheme": lambda t: json.dumps(t.scheme_config.scheme),
-    "theta": lambda t: format_float(t.scheme_config.theta),
-    "tol": lambda t: format_float(t.scheme_config.tol),
-    "status": lambda t: json.dumps(t.status),
-    "iterates": _iterates,
-    "residuals": lambda t: _array(t.residuals),
-    "distances": lambda t: "null" if t.distances_to_target is None else _array(t.distances_to_target),
-    "operator_name": lambda t: json.dumps(t.operator_name),
-    "seed": lambda t: str(t.scheme_config.seed),
-    "max_iter": lambda t: str(t.scheme_config.max_iter),
-    "guard_domain": lambda t: json.dumps(t.scheme_config.guard_domain),
-    "cycle_detected": lambda t: json.dumps(bool(t.cycle_detected)),
+    "scheme": (lambda t: json.dumps(t.scheme_config.scheme), _STRING),
+    "theta": (lambda t: format_float(t.scheme_config.theta), _NUMBER),
+    "tol": (lambda t: format_float(t.scheme_config.tol), _NUMBER),
+    "status": (lambda t: json.dumps(t.status), (f"one of {_STATUSES}", _STATUSES.__contains__)),
+    "iterates": (_iterates, ("a non-empty array", lambda v: type(v) is list and len(v) > 0)),
+    "residuals": (lambda t: _array(t.residuals), _kind("an array", list)),
+    "distances": (
+        lambda t: "null" if t.distances_to_target is None else _array(t.distances_to_target),
+        _kind("an array or null", list, type(None)),
+    ),
+    "operator_name": (lambda t: json.dumps(t.operator_name), _STRING),
+    "seed": (lambda t: str(t.scheme_config.seed), _INTEGER),
+    "max_iter": (lambda t: str(t.scheme_config.max_iter), _INTEGER),
+    "guard_domain": (lambda t: json.dumps(t.scheme_config.guard_domain), _BOOLEAN),
+    "cycle_detected": (lambda t: json.dumps(bool(t.cycle_detected)), _BOOLEAN),
 }
+_ENTRY_KEYS = dict.fromkeys(("n", "x", "y"))
+_CONFIG_KEYS = tuple(field.name for field in dataclasses.fields(SchemeConfig))
+_NUMBERS = frozenset({float, int})
 
 
 def trace_to_json(trace: IterationTrace) -> str:
-    return "{\n" + ",\n".join(f'  "{key}": {write(trace)}' for key, write in _KEYS.items()) + "\n}\n"
+    return "{\n" + ",\n".join(f'  "{key}": {write(trace)}' for key, (write, _) in _KEYS.items()) + "\n}\n"
 
 
-_CONFIG_KEYS = tuple(field.name for field in dataclasses.fields(SchemeConfig))
+def _wrong_keys(where: str, doc, keys) -> ValueError:
+    if type(doc) is not dict:
+        return ValueError(f"{where} must be a JSON object, got {reprlib.repr(doc)}")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        return ValueError(f"{where} has no {missing[0]!r} key")
+    return ValueError(f"{where} has an unknown key {min(doc.keys() - keys)!r}")
+
+
+def _norm_value(key: str, k: int, v) -> float:
+    # A residual or distance as the writer writes it: a number >= 0, inf included.
+    try:
+        f = float(v) if type(v) in _NUMBERS else math.nan
+    except OverflowError:  # an integer past the float range
+        f = math.nan
+    if not f >= 0.0:
+        raise ValueError(f"{key}[{k}] must be a number >= 0, got {reprlib.repr(v)}")
+    return f
 
 
 def trace_from_json(text: str) -> IterationTrace:
     """Parse what ``trace_to_json`` wrote; a ``ValueError`` names what is wrong."""
     doc = json.loads(text)
-    missing = [key for key in _KEYS if key not in doc]
-    if missing:
-        raise ValueError(f"trace has no {missing[0]!r} key")
+    if type(doc) is not dict or doc.keys() != _KEYS.keys():
+        raise _wrong_keys("trace", doc, _KEYS)
+    for key, (_, (name, accepts)) in _KEYS.items():
+        if not accepts(doc[key]):
+            raise ValueError(f"{key} must be {name}, got {reprlib.repr(doc[key])}")
     cfg = SchemeConfig(**{key: doc[key] for key in _CONFIG_KEYS})
-    entries, distances = doc["iterates"], doc["distances"]
-    for key in ("residuals",) if distances is None else ("residuals", "distances"):
-        if len(doc[key]) != len(entries):
-            raise ValueError(f"{key} has {len(doc[key])} entries, iterates has {len(entries)}")
-    try:
-        steps = [int(e["n"]) for e in entries]
-        iterates = [CoupledPair(e["x"], e["y"]) for e in entries]
-    except KeyError as exc:
-        k = next(k for k, e in enumerate(entries) if exc.args[0] not in e)
-        raise ValueError(f"iterates[{k}] has no {exc.args[0]!r} key") from None
+    entries = doc["iterates"]
+    norms = {key: doc[key] for key in ("residuals", "distances") if doc[key] is not None}
+    for key, values in norms.items():
+        if len(values) != len(entries):
+            raise ValueError(f"{key} has {len(values)} entries, iterates has {len(entries)}")
+    steps, iterates, floats = [], [], {key: [] for key in norms}
+    for k, e in enumerate(entries):
+        if type(e) is not dict or e.keys() != _ENTRY_KEYS.keys():
+            raise _wrong_keys(f"iterates[{k}]", e, _ENTRY_KEYS)
+        n, x, y = e["n"], e["x"], e["y"]
+        if type(n) is not int or (n <= steps[-1] if steps else n != 0):
+            raise ValueError(f"iterates[{k}] has n = {n!r}: step indices are integers rising from 0")
+        if type(x) is not list or type(y) is not list or not _NUMBERS.issuperset(map(type, x + y)):
+            raise ValueError(f"iterates[{k}]: x and y must be arrays of numbers, got {reprlib.repr(e)}")
+        try:
+            pair = CoupledPair(x, y)
+        except ValueError as exc:
+            raise ValueError(f"iterates[{k}]: {exc}") from None
+        if iterates and pair.dim != iterates[0].dim:
+            raise ValueError(f"iterates[{k}] has dimension {pair.dim}, iterates[0] has {iterates[0].dim}")
+        steps.append(n)
+        iterates.append(pair)
+        for key, values in norms.items():
+            floats[key].append(_norm_value(key, k, values[k]))
     return IterationTrace(
         step_indices=steps,
         iterates=iterates,
-        residuals=[float(r) for r in doc["residuals"]],
-        distances_to_target=None if distances is None else [float(d) for d in distances],
+        residuals=floats["residuals"],
+        distances_to_target=floats.get("distances"),
         status=doc["status"],
         scheme_config=cfg,
         operator_name=doc["operator_name"],
-        cycle_detected=bool(doc["cycle_detected"]),
+        cycle_detected=doc["cycle_detected"],
     )
 
 
 def trace_to_csv(trace: IterationTrace) -> str:
-    d = trace.iterates[0].dim if trace.iterates else 0
+    d = trace.iterates[0].dim
     header = (
         ["n"]
         + [f"x{i}" for i in range(d)]
