@@ -236,6 +236,16 @@ class TestPicardScheme:
         assert tr.step_indices == [0, 1, 2]
         assert np.array_equal(tr.iterates[2].x, tr.iterates[0].x)
 
+    @pytest.mark.parametrize("start", [1.0, 1e300, 1.7e308, np.finfo(float).max])
+    def test_two_cycle_detected_up_to_the_float_maximum(self, start):
+        # F(x, y) = -x flips every iterate: an exact 2-cycle from any start,
+        # also where the cycle's scale and amplitude overflow a double.
+        big = np.finfo(float).max
+        f = BivariateOperator(name="flip", domain=Box([-big], [big]), evaluator=lambda x, y: -x, range_in_domain=True)
+        tr = picard_double(f, [start], [start], cfg(PICARD_DOUBLE, max_iter=50))
+        assert (tr.status, tr.cycle_detected, tr.step_indices) == (MAX_ITER_REACHED, True, [0, 1, 2])
+        assert np.array_equal(tr.iterates[2].x, tr.iterates[0].x)
+
     def test_converged_pair_not_asserted_fixed(self):
         # The engine must stop by residual without claiming anything about
         # which fixed point (if any) was reached; the skew-map limit from
