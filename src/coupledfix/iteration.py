@@ -177,12 +177,15 @@ def _is_two_cycle(
     # Period-2 orbit: the pair two steps back coincides to rounding scale,
     # AND the intermediate step was macroscopic. Without the amplitude
     # requirement, any converging sequence eventually satisfies the first
-    # condition (all late iterates are near the limit).
-    sx = 1.0 + _norm(x) + _norm(prev2[0])
-    sy = 1.0 + _norm(y) + _norm(prev2[1])
-    if _norm(x - prev2[0]) > _CYCLE_RTOL * sx or _norm(y - prev2[1]) > _CYCLE_RTOL * sy:
+    # condition (all late iterates are near the limit). Every term is
+    # halved, which is exact away from subnormals, so the scales stay
+    # finite up to the float maximum; a difference that overflows is inf,
+    # and an inf amplitude is rightly macroscopic.
+    sx = 0.5 + 0.5 * _norm(x) + 0.5 * _norm(prev2[0])
+    sy = 0.5 + 0.5 * _norm(y) + 0.5 * _norm(prev2[1])
+    if 0.5 * _norm(x - prev2[0]) > _CYCLE_RTOL * sx or 0.5 * _norm(y - prev2[1]) > _CYCLE_RTOL * sy:
         return False
-    amplitude = max(_norm(prev[0] - prev2[0]), _norm(prev[1] - prev2[1]))
+    amplitude = 0.5 * max(_norm(prev[0] - prev2[0]), _norm(prev[1] - prev2[1]))
     return amplitude > _CYCLE_MIN_AMPLITUDE * max(sx, sy)
 
 
