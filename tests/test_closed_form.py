@@ -213,3 +213,21 @@ class TestLimitsMatchIterates:
             assert len(tr) == 401
             for n, pair in enumerate(tr):
                 assert pair == oracle_iterate(h, n), (h.kind, n)
+
+
+class TestIndexArgumentsTyped:
+    # Typed as SchemeConfig types max_iter: integral, never rounded, and >= 0.
+    @pytest.mark.parametrize("n", [2.5, "2", None, np.nan])
+    def test_oracle_iterate(self, n):
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            oracle_iterate(OracleHandle(PICARD_EXAMPLE_2_1, [0.5], [0.25]), n)
+
+    @pytest.mark.parametrize("n_max, message", [(2.7, "an integer"), ("2", "an integer"), (None, "an integer"), (-1, ">= 0")])
+    def test_oracle_trace(self, n_max, message):
+        with pytest.raises(ValueError, match=f"^n_max must be {message}"):
+            oracle_trace(OracleHandle(PICARD_EXAMPLE_2_1, [0.5], [0.25]), n_max)
+
+    def test_integral_floats_taken_as_ints(self):
+        h = OracleHandle(PICARD_EXAMPLE_2_1, [0.5], [0.25])
+        assert oracle_iterate(h, 3.0) == oracle_iterate(h, 3)
+        assert oracle_trace(h, 3.0) == oracle_trace(h, 3)

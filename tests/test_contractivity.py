@@ -313,6 +313,23 @@ class TestDrawQuadruples:
         assert np.array_equal(draw_quadruples(f, 50, 6), draw_quadruples(f, 50, 6))
 
 
+class TestSampleArgumentsTyped:
+    # Typed as SchemeConfig types max_iter and seed: an integral value is
+    # taken as it is, anything else is rejected naming its argument.
+    @pytest.mark.parametrize("n_samples, seed", [(2.5, 0), (2.9, 0), ("3", 0), (None, 0), (10, 1.5), (10, "0"), (10, -1)])
+    @pytest.mark.parametrize("call", [analyze_operator, estimate_constants, draw_quadruples])
+    def test_non_integral_rejected_naming_the_argument(self, call, n_samples, seed):
+        name = "n_samples" if seed == 0 else "seed"
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            call(get_operator("example_2_1"), n_samples, seed)
+
+    @pytest.mark.parametrize("call", [analyze_operator, estimate_constants, draw_quadruples])
+    def test_integral_floats_taken_as_ints(self, call):
+        f = get_operator("example_2_1")
+        a, b = call(f, 20.0, 3.0), call(f, 20, 3)
+        assert np.array_equal(a, b) if call is draw_quadruples else report_to_json(a) == report_to_json(b)
+
+
 # ---------------------------------------------------------------- pinned reports
 
 

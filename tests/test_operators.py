@@ -111,6 +111,13 @@ class TestIsCoupledFixedPoint:
         with pytest.raises(ValueError, match="tol"):
             is_coupled_fixed_point(f, CoupledPair([0.0], [0.0]), 0.0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), "1e-3", None])
+    def test_tol_is_a_positive_finite_number(self, tol):
+        # (0.5, 0.5) is not fixed: F(0.5, 0.5) = -1/6, so no tolerance may pass it.
+        f = get_operator("example_2_1")
+        with pytest.raises(ValueError, match="^tol must be "):
+            is_coupled_fixed_point(f, CoupledPair([0.5], [0.5]), tol)
+
     def test_all_known_points_validate(self):
         for name in operator_names():
             f = get_operator(name)
