@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import CoupledPair
-from .space import as_vector
+from .space import _as_number, as_vector
 
 __all__ = [
     "PICARD_EXAMPLE_2_1",
@@ -136,7 +136,7 @@ def _pair_at(h: OracleHandle, n: int, p_slow: float, p_fast: float) -> CoupledPa
 
 def oracle_iterate(h: OracleHandle, n: int) -> CoupledPair:
     """The n-th iterate pair of the formula; n = 0 returns the initial values exactly."""
-    n = int(n)
+    n = _as_number(n, "n", int)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     for powers in _powers(h, n):
@@ -146,7 +146,10 @@ def oracle_iterate(h: OracleHandle, n: int) -> CoupledPair:
 
 def oracle_trace(h: OracleHandle, n_max: int) -> list[CoupledPair]:
     """Iterates 0..n_max inclusive, bit-identical to per-index ``oracle_iterate`` calls."""
-    return [_pair_at(h, n, *powers) for n, powers in enumerate(_powers(h, int(n_max)))]
+    n_max = _as_number(n_max, "n_max", int)
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    return [_pair_at(h, n, *powers) for n, powers in enumerate(_powers(h, n_max))]
 
 
 def oracle_limit(h: OracleHandle) -> CoupledPair:

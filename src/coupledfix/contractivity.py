@@ -51,7 +51,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .operators import BivariateOperator
-from .space import Box, _norm, _row_norms
+from .space import Box, _as_number, _norm, _row_norms
 
 __all__ = [
     "MARGIN",
@@ -161,6 +161,16 @@ def _require_drawable(f: BivariateOperator) -> None:
         )
 
 
+def _sample_args(n_samples, seed, least: int) -> tuple[int, int]:
+    """``n_samples`` (at least ``least``) and ``seed`` as ints; a ``ValueError`` names the wrong one."""
+    n_samples, seed = _as_number(n_samples, "n_samples", int), _as_number(seed, "seed", int)
+    if n_samples < least:
+        raise ValueError(f"n_samples must be >= {least}, got {n_samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return n_samples, seed
+
+
 def _blocks(box: Box, n_samples: int, seed: int, phase: int, width: int):
     """Stream ``phase`` of the draws as (m, width, d) blocks of at most _CHUNK rows."""
     rng = np.random.default_rng([seed, phase])
@@ -220,9 +230,7 @@ def estimate_constants(f: BivariateOperator, n_samples: int, seed: int) -> Contr
     so both hats are nondecreasing in ``n_samples``. Classification is left
     empty; apply :func:`classify` for labels.
     """
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    n_samples, seed = _sample_args(n_samples, seed, 1)
     if f.domain.is_degenerate():
         raise ValueError(f"operator {f.name!r} has a single-point domain: cannot vary arguments")
     _require_drawable(f)
@@ -239,16 +247,14 @@ def estimate_constants(f: BivariateOperator, n_samples: int, seed: int) -> Contr
         a_hat=a_hat,
         b_hat=b_hat,
         samples_used=2 * n_samples,
-        seed=int(seed),
+        seed=seed,
         violations=(wa, wb),
     )
 
 
 def draw_quadruples(f: BivariateOperator, n_samples: int, seed: int) -> np.ndarray:
     """Uniform general quadruples (x, y, u, v) over C^4, shape (n_samples, 4, d)."""
-    n_samples = int(n_samples)
-    if n_samples < 0:
-        raise ValueError(f"n_samples must be >= 0, got {n_samples}")
+    n_samples, seed = _sample_args(n_samples, seed, 0)
     _require_drawable(f)
     return _uniform_in_box(np.random.default_rng([seed, 2]), f.domain, (n_samples, 4))
 
@@ -338,8 +344,9 @@ def analyze_operator(f: BivariateOperator, n_samples: int, seed: int) -> Contrac
     but draws the general quadruples block by block, so memory stays
     bounded at any sample count.
     """
+    n_samples, seed = _sample_args(n_samples, seed, 1)
     report = estimate_constants(f, n_samples, seed)
-    return _classify_blocks(report, _blocks(f.domain, int(n_samples), seed, 2, 4), f)
+    return _classify_blocks(report, _blocks(f.domain, n_samples, seed, 2, 4), f)
 
 
 def report_to_dict(report: ContractivityReport) -> dict:

@@ -35,13 +35,12 @@ runs share no mutable state and may execute concurrently.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .operators import BivariateOperator, CoupledPair, NonFiniteEvaluationError
-from .space import _norm, as_vector, project_box
+from .space import _as_number, _norm, as_vector, project_box
 
 __all__ = [
     "PICARD_DOUBLE",
@@ -105,14 +104,7 @@ class SchemeConfig:
 
     def __post_init__(self) -> None:
         for name, kind in (("theta", float), ("tol", float), ("max_iter", int), ("seed", int)):
-            value = getattr(self, name)
-            try:
-                typed = kind(value) if isinstance(value, numbers.Real) else None
-            except (ValueError, OverflowError):  # int() of nan or inf, float() of a huge int
-                typed = None
-            if typed is None or kind is int and typed != value:
-                raise ValueError(f"{name} must be {'an integer' if kind is int else 'a real number'}, got {value!r}")
-            object.__setattr__(self, name, typed)
+            object.__setattr__(self, name, _as_number(getattr(self, name), name, kind))
         if self.guard_domain is not None:
             object.__setattr__(self, "guard_domain", bool(self.guard_domain))
         self.validate()

@@ -31,12 +31,13 @@ instances are safe for concurrent use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .space import Box, _as_rows, as_vector, norm
+from .space import Box, _as_number, _as_rows, as_vector, norm
 
 __all__ = [
     "NonFiniteEvaluationError",
@@ -154,9 +155,11 @@ class BivariateOperator:
 
 def is_coupled_fixed_point(f: BivariateOperator, pair: CoupledPair, tol: float) -> bool:
     """True iff ``norm(F(x,y) - x) <= tol`` and ``norm(F(y,x) - y) <= tol``."""
-    tol = float(tol)
-    if tol <= 0.0:
+    tol = _as_number(tol, "tol")
+    if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if tol == math.inf:
+        raise ValueError(f"tol must be finite, got {tol}")
     rx = norm(f.eval(pair.x, pair.y) - pair.x)
     ry = norm(f.eval(pair.y, pair.x) - pair.y)
     return rx <= tol and ry <= tol

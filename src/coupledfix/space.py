@@ -9,6 +9,7 @@ intervals), which are bounded, closed and convex by construction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,17 @@ def as_vector(value, name: str = "vector") -> np.ndarray:
     if np.count_nonzero(np.isfinite(arr)) != arr.size:  # one C call; .all() goes through Python
         raise ValueError(f"{name} has non-finite coordinates")
     return arr
+
+
+def _as_number(value, name: str, kind: type = float):
+    """``value`` as a ``kind`` (float or int), never rounded; a ``ValueError`` names ``name``."""
+    try:
+        typed = kind(value) if isinstance(value, numbers.Real) else None
+    except (ValueError, OverflowError):  # int() of nan or inf, float() of a huge int
+        typed = None
+    if typed is None or kind is int and typed != value:
+        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a real number'}, got {value!r}")
+    return typed
 
 
 def _as_rows(value, name: str) -> np.ndarray:
