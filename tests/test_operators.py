@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 from coupledfix import (
+    KRASNOSELSKIJ_DIAGONAL,
     BivariateOperator,
     Box,
     CoupledPair,
     NonFiniteEvaluationError,
     OutputDimensionError,
+    SchemeConfig,
+    analyze_operator,
     get_operator,
     is_coupled_fixed_point,
+    krasnoselskij_diagonal,
     make_linear_operator,
     norm,
     operator_names,
@@ -49,6 +53,18 @@ class TestEval:
             wide.eval([0.5], [0.5])
         assert isinstance(info.value, ValueError)
         assert not isinstance(info.value, NonFiniteEvaluationError)
+
+    def test_scalar_output_rejected_by_the_engine_and_the_analyzer_alike(self):
+        # A vector call must return shape (d,) just as a block call returns (n, d).
+        summing = BivariateOperator(
+            name="summing", domain=Box([-1.0], [1.0]), evaluator=lambda x, y: 0.5 * np.sum(x), range_in_domain=True
+        )
+        with pytest.raises(OutputDimensionError, match=r"returned shape \(\), expected \(1,\)"):
+            summing.eval([0.5], [0.5])
+        with pytest.raises(OutputDimensionError):
+            krasnoselskij_diagonal(summing, [0.5], SchemeConfig(KRASNOSELSKIJ_DIAGONAL))
+        with pytest.raises(OutputDimensionError):
+            analyze_operator(summing, 10, 0)
 
     def test_block_from_a_non_broadcasting_evaluator_rejected(self):
         # Reads only the first row: fine on a vector, wrong on a block of rows.
