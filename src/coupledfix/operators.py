@@ -122,8 +122,9 @@ class BivariateOperator:
 
         ``x`` and ``y`` are both vectors of shape (d,), or both numpy arrays
         of shape (n, d) whose rows are evaluated as n separate pairs. The
-        result has the shape of the arguments. Deterministic and side-effect
-        free.
+        evaluator must return the shape of its arguments, (d,) or (n, d);
+        any other shape raises ``OutputDimensionError``. Deterministic and
+        side-effect free.
         """
         if getattr(x, "ndim", 1) == 2:
             xv = _as_rows(x, "x")
@@ -142,12 +143,7 @@ class BivariateOperator:
             )
         out = np.asarray(self.evaluator(xv, yv), dtype=float)
         if out.shape != xv.shape:
-            if out.ndim == 0 and xv.ndim == 1:
-                out = out.reshape(1)
-            if out.shape != xv.shape:
-                raise OutputDimensionError(
-                    f"operator {self.name!r} returned shape {out.shape}, expected {xv.shape}"
-                )
+            raise OutputDimensionError(f"operator {self.name!r} returned shape {out.shape}, expected {xv.shape}")
         if not np.isfinite(out).all():
             raise NonFiniteEvaluationError(f"operator {self.name!r} returned non-finite output")
         return out
