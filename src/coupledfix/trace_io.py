@@ -9,10 +9,24 @@ written are declared once, in ``_KEYS``; ``iterates`` is an array of
 
 Iterates are finite; a residual or distance that overflowed is +inf,
 which JSON cannot spell, so it is written as ``1e999`` (read back as inf).
-``trace_from_json`` raises a ``ValueError`` naming what is wrong: a
-missing key, a ``residuals`` or ``distances`` list whose length differs
-from ``iterates``, or a config that ``SchemeConfig`` rejects (an unknown
-scheme, theta outside (0, 1), a non-integral ``max_iter`` or ``seed``, ...).
+``trace_from_json`` reads back only what ``trace_to_json`` can write, and
+raises a ``ValueError`` naming the key for anything else:
+
+- a document that is not an object, or lacks a key or has one more;
+- a value of the wrong JSON kind, from ``_KEYS`` (a string ``theta``, a
+  float ``max_iter``, ``"no"`` or ``1`` for ``cycle_detected`` or
+  ``guard_domain``, a non-string ``operator_name``), or a ``status``
+  outside the four statuses;
+- a config that ``SchemeConfig`` rejects (an unknown scheme, theta
+  outside (0, 1), ``tol`` of 0, ...);
+- an empty ``iterates``, or a ``residuals`` or ``distances`` list whose
+  length differs from it;
+- an iterate that is not ``{n, x, y}``, step indices that are not
+  integers rising from 0 (such as ``1.5`` or ``[0, 1, 7, 3]``), ``x`` or
+  ``y`` that is not an array of finite numbers, or iterates of different
+  dimensions;
+- a residual or distance that is not a number >= 0 (a string, a boolean,
+  NaN or a negative number; ``1e999`` is inf and allowed).
 
 CSV output has columns ``n, x0..x{d-1}, y0..y{d-1}, residual,
 distance_to_target`` (the last column is empty when no reference point was
