@@ -102,6 +102,11 @@ class TestConfigTypedOnce:
             warnings.simplefilter("error")
             cfg(KRASNOSELSKIJ_DIAGONAL, **{field: value})
 
+    @pytest.mark.parametrize("field, value", [("max_iter", True), ("seed", False), ("theta", True), ("tol", True)])
+    def test_booleans_are_not_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an? (integer|real number), got {value}$"):
+            cfg(PICARD_DOUBLE, **{field: value})
+
     @pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf")])
     def test_picard_theta_must_be_finite(self, theta):
         # picard_double ignores theta, but the trace JSON carries it, and JSON has no nan or inf.

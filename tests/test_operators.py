@@ -127,7 +127,7 @@ class TestIsCoupledFixedPoint:
         with pytest.raises(ValueError, match="tol"):
             is_coupled_fixed_point(f, CoupledPair([0.0], [0.0]), 0.0)
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), "1e-3", None])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), "1e-3", None, True])
     def test_tol_is_a_positive_finite_number(self, tol):
         # (0.5, 0.5) is not fixed: F(0.5, 0.5) = -1/6, so no tolerance may pass it.
         f = get_operator("example_2_1")
