@@ -86,9 +86,9 @@ class SchemeConfig:
 
     Typed and checked once, when built (also by ``dataclasses.replace`` and
     ``trace_from_json``): ``theta`` and ``tol`` become floats, ``max_iter``
-    and ``seed`` ints, never rounded, and ``validate`` must pass; ``theta``
-    is ignored by ``picard_double`` but must still be finite, since the
-    trace's JSON carries it. ``guard_domain`` is a bool, or None
+    and ``seed`` ints, never rounded (a bool is rejected), and ``validate``
+    must pass; ``theta`` is ignored by ``picard_double`` but must still be
+    finite, since the trace's JSON carries it. ``guard_domain`` is a bool, or None
     for automatic: off for operators that map their domain into
     themselves, forced on otherwise. No scheme reads ``seed``; it travels
     into the trace, where the benchmark's checks (``perfbench/checks.py``)

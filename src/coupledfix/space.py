@@ -41,9 +41,12 @@ def as_vector(value, name: str = "vector") -> np.ndarray:
 
 
 def _as_number(value, name: str, kind: type = float):
-    """``value`` as a ``kind`` (float or int), never rounded; a ``ValueError`` names ``name``."""
+    """``value`` as a ``kind`` (float or int), never rounded; a ``ValueError`` names ``name``.
+
+    A bool is a flag, not a number, so it is rejected too.
+    """
     try:
-        typed = kind(value) if isinstance(value, numbers.Real) else None
+        typed = kind(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else None
     except (ValueError, OverflowError):  # int() of nan or inf, float() of a huge int
         typed = None
     if typed is None or kind is int and typed != value:
