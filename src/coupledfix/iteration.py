@@ -88,8 +88,8 @@ class SchemeConfig:
     ``trace_from_json``): ``theta`` and ``tol`` become floats, ``max_iter``
     and ``seed`` ints, never rounded (a bool is rejected), and ``validate``
     must pass; ``theta`` is ignored by ``picard_double`` but must still be
-    finite, since the trace's JSON carries it. ``guard_domain`` is a bool, or None
-    for automatic: off for operators that map their domain into
+    finite, since the trace's JSON carries it. ``guard_domain`` is a bool,
+    or None for automatic: off for operators that map their domain into
     themselves, forced on otherwise. No scheme reads ``seed``; it travels
     into the trace, where the benchmark's checks (``perfbench/checks.py``)
     compare it.
@@ -170,9 +170,9 @@ def _is_two_cycle(
     # AND the intermediate step was macroscopic. Without the amplitude
     # requirement, any converging sequence eventually satisfies the first
     # condition (all late iterates are near the limit). Every term is
-    # halved, which is exact away from subnormals, so the scales stay
-    # finite up to the float maximum; a difference that overflows is inf,
-    # and an inf amplitude is rightly macroscopic.
+    # halved, which is exact away from subnormals and keeps the scales
+    # finite wherever the norms are, up to the float maximum; a difference
+    # that overflows is inf, and an inf amplitude is rightly macroscopic.
     sx = 0.5 + 0.5 * _norm(x) + 0.5 * _norm(prev2[0])
     sy = 0.5 + 0.5 * _norm(y) + 0.5 * _norm(prev2[1])
     if 0.5 * _norm(x - prev2[0]) > _CYCLE_RTOL * sx or 0.5 * _norm(y - prev2[1]) > _CYCLE_RTOL * sy:
