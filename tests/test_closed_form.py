@@ -222,7 +222,10 @@ class TestIndexArgumentsTyped:
         with pytest.raises(ValueError, match="^n must be an integer"):
             oracle_iterate(OracleHandle(PICARD_EXAMPLE_2_1, [0.5], [0.25]), n)
 
-    @pytest.mark.parametrize("n_max, message", [(2.7, "an integer"), ("2", "an integer"), (None, "an integer"), (True, "an integer"), (-1, ">= 0")])
+    @pytest.mark.parametrize(
+        "n_max, message",
+        [(2.7, "an integer"), ("2", "an integer"), (None, "an integer"), (True, "an integer"), (-1, ">= 0")],
+    )
     def test_oracle_trace(self, n_max, message):
         with pytest.raises(ValueError, match=f"^n_max must be {message}"):
             oracle_trace(OracleHandle(PICARD_EXAMPLE_2_1, [0.5], [0.25]), n_max)

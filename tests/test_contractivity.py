@@ -316,7 +316,10 @@ class TestDrawQuadruples:
 class TestSampleArgumentsTyped:
     # Typed as SchemeConfig types max_iter and seed: an integral value is
     # taken as it is, anything else is rejected naming its argument.
-    @pytest.mark.parametrize("n_samples, seed", [(2.5, 0), (2.9, 0), ("3", 0), (None, 0), (True, 0), (10, 1.5), (10, "0"), (10, -1), (10, True)])
+    @pytest.mark.parametrize(
+        "n_samples, seed",
+        [(2.5, 0), (2.9, 0), ("3", 0), (None, 0), (True, 0), (10, 1.5), (10, "0"), (10, -1), (10, True)],
+    )
     @pytest.mark.parametrize("call", [analyze_operator, estimate_constants, draw_quadruples])
     def test_non_integral_rejected_naming_the_argument(self, call, n_samples, seed):
         name = "n_samples" if seed == 0 else "seed"

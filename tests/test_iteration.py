@@ -247,7 +247,9 @@ class TestPicardScheme:
         # here from starts where the cycle's scale and amplitude overflow a
         # double (from 1.0 the same run stops at step 2 too).
         big = np.finfo(float).max
-        f = BivariateOperator(name="flip", domain=Box([-big], [big]), evaluator=lambda x, y: -x, range_in_domain=True)
+        f = BivariateOperator(
+            name="flip", domain=Box([-big], [big]), evaluator=lambda x, y: -x, range_in_domain=True
+        )
         tr = picard_double(f, [start], [start], cfg(PICARD_DOUBLE, max_iter=50))
         assert (tr.status, tr.cycle_detected, tr.step_indices) == (MAX_ITER_REACHED, True, [0, 1, 2])
         assert np.array_equal(tr.iterates[2].x, tr.iterates[0].x)

@@ -313,7 +313,9 @@ class TestJsonRejectsWhatTheWriterCannotWrite:
         with pytest.raises(ValueError, match="^operator_name must be a string"):
             trace_from_json(json.dumps({**_short_doc(), "operator_name": name}))
 
-    @pytest.mark.parametrize("key, value", [("max_iter", True), ("max_iter", 40.0), ("seed", 0.0), ("theta", False)])
+    @pytest.mark.parametrize(
+        "key, value", [("max_iter", True), ("max_iter", 40.0), ("seed", 0.0), ("theta", False)]
+    )
     def test_config_numbers_have_their_json_type(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must be "):
             trace_from_json(json.dumps({**_short_doc(), key: value}))
