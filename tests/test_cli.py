@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,10 @@ class TestRun:
         code = run_cli("run", "--operator", "nope", "--x0", "[1]")
         assert code == 1
         assert "operator" in capsys.readouterr().err
+
+    def test_missing_operator_names_field(self, capsys):
+        assert run_cli("run", "--x0", "[1]") == 1
+        assert capsys.readouterr().err.startswith("error: operator: required")
 
     def test_json_round_trip_matches_library(self, tmp_path):
         out = tmp_path / "trace.json"
@@ -233,6 +238,17 @@ class TestProblemFiles:
         p.write_text("operator = example_4_1\ntheta = fast\nx0 = [1]\n")
         assert run_cli("run", "--problem", str(p)) == 1
         assert "theta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "matrices, fault",
+        [("a_matrix = [[0.25]]\n", r"^error: b_matrix: required"),
+         ("a_matrix = [[0.25, 0.5]]\nb_matrix = [[0.25]]\n", r"^error: operator: a_matrix .*square")],
+    )
+    def test_linear_file_faults_named(self, tmp_path, capsys, matrices, fault):
+        p = tmp_path / "problem.txt"
+        p.write_text(f"operator = linear\n{matrices}shift = [0.0]\nlower = [-1]\nupper = [1]\nx0 = [0]\n")
+        assert run_cli("run", "--problem", str(p)) == 1
+        assert re.match(fault, capsys.readouterr().err)
 
 
 class TestSpecLoader:
@@ -574,6 +590,19 @@ class TestSweep:
         )
         assert code == 1
         assert "thetas" in capsys.readouterr().err
+
+    def test_array_literal_thetas(self, capsys):
+        argv = ("sweep", "--operator", "example_4_1", "--x0", "[1]", "--thetas")
+        assert run_cli(*argv, "0.3,0.5") == 0
+        listed = capsys.readouterr().out
+        assert run_cli(*argv, "[0.3,0.5]") == 0
+        assert capsys.readouterr().out == listed
+        assert run_cli(*argv, "[0.5,1.5]") == 1
+        assert capsys.readouterr().err.startswith("error: thetas: ")
+
+    def test_missing_thetas_named(self, capsys):
+        assert run_cli("sweep", "--operator", "example_4_1", "--x0", "[1]") == 1
+        assert capsys.readouterr().err.startswith("error: thetas: required")
 
     def test_picard_sweep_rejected(self, capsys):
         code = run_cli(

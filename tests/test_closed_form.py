@@ -36,6 +36,19 @@ class TestHandles:
         with pytest.raises(ValueError, match="lam"):
             OracleHandle(KRASNOSELSKIJ_EXAMPLE_4_1, [1.0], lam=lam)
 
+    def test_diagonal_kind_takes_y0_only_equal_to_x0(self):
+        h = OracleHandle(KRASNOSELSKIJ_EXAMPLE_4_1, [0.5], [0.5], lam=0.25)
+        assert oracle_iterate(h, 0) == CoupledPair([0.5], [0.5])
+        with pytest.raises(ValueError, match="diagonal; y0 must equal x0"):
+            OracleHandle(KRASNOSELSKIJ_EXAMPLE_4_1, [0.5], [0.25], lam=0.25)
+
+    def test_double_kind_needs_equal_dimensions(self):
+        with pytest.raises(ValueError, match="x0 and y0 .*dimension"):
+            OracleHandle(DOUBLE_KRASNOSELSKIJ_EXAMPLE_2_1, [0.5], [0.5, 0.5], lam=0.25)
+
+    def test_picard_kind_has_no_engine_theta(self):
+        assert engine_theta(OracleHandle(PICARD_EXAMPLE_2_1, [0.5], [0.25])) is None
+
     def test_initial_values_exact(self):
         x0, y0 = [0.1234567890123], [-0.9876543210987]
         h = OracleHandle(PICARD_EXAMPLE_2_1, x0, y0)
@@ -229,6 +242,10 @@ class TestIndexArgumentsTyped:
     def test_oracle_trace(self, n_max, message):
         with pytest.raises(ValueError, match=f"^n_max must be {message}"):
             oracle_trace(OracleHandle(PICARD_EXAMPLE_2_1, [0.5], [0.25]), n_max)
+
+    def test_oracle_iterate_index_not_negative(self):
+        with pytest.raises(ValueError, match="^n must be >= 0"):
+            oracle_iterate(OracleHandle(PICARD_EXAMPLE_2_1, [0.5], [0.25]), -1)
 
     def test_integral_floats_taken_as_ints(self):
         h = OracleHandle(PICARD_EXAMPLE_2_1, [0.5], [0.25])

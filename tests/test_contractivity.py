@@ -12,6 +12,7 @@ import coupledfix.contractivity as contractivity_mod
 from coupledfix import (
     BivariateOperator,
     Box,
+    Witness,
     analyze_operator,
     classify,
     draw_quadruples,
@@ -240,6 +241,11 @@ class TestClassify:
                 # The axis witnesses force any admissible (k, l) to satisfy
                 # k + l >= a_hat + b_hat.
                 assert kinds[WITNESS_AXIS_A].ratio + kinds[WITNESS_AXIS_B].ratio >= 1.0 - MARGIN
+
+    def test_unknown_witness_kind_rejected(self):
+        w = Witness("no_such_kind", np.array([0.5]), np.array([0.0]), np.array([0.0]), np.array([0.0]), 1.0)
+        with pytest.raises(ValueError, match="unknown witness kind 'no_such_kind'"):
+            witness_ratio(get_operator("example_2_1"), w)
 
     def test_all_witness_ratios_reproduce(self):
         for name in ("example_2_1", "example_2_2", "example_4_1"):

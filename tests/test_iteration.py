@@ -81,6 +81,8 @@ class TestConfigValidation:
         f = get_operator("example_4_1")
         with pytest.raises(ValueError, match="x0"):
             krasnoselskij_diagonal(f, [2.0], cfg(KRASNOSELSKIJ_DIAGONAL))
+        with pytest.raises(ValueError, match="^y0 .*outside"):
+            krasnoselskij_double(f, [0.5], [2.0], cfg(KRASNOSELSKIJ_DOUBLE))
 
     def test_scheme_engine_mismatch(self):
         f = get_operator("example_4_1")
@@ -522,6 +524,18 @@ class TestFejerMonotonicity:
         assert tr.n_steps > 600
         assert tr == expected
         assert trace_to_json(tr) == trace_to_json(expected)
+
+    def test_p_dimension_must_match_the_trace(self):
+        tr = krasnoselskij_diagonal(get_operator("example_4_1"), [1.0], cfg(KRASNOSELSKIJ_DIAGONAL))
+        with pytest.raises(ValueError, match="^p has dimension 2"):
+            verify_fejer_monotonicity(tr, [0.0, 0.0])
+
+    def test_report_check_of_an_unknown_name(self):
+        tr = krasnoselskij_diagonal(get_operator("example_4_1"), [1.0], cfg(KRASNOSELSKIJ_DIAGONAL))
+        report = verify_fejer_monotonicity(tr, [0.0])
+        assert report.check("distance_nonincreasing").passed
+        with pytest.raises(KeyError, match="no_such_check"):
+            report.check("no_such_check")
 
     def test_rejects_picard_traces(self):
         f = get_operator("example_2_1")

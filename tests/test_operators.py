@@ -225,6 +225,12 @@ class TestMakeLinearOperator:
             make_linear_operator([[1.0, 2.0]], [[0.0]], [0.0], Box([-1.0], [1.0]))
         with pytest.raises(ValueError, match="shift"):
             make_linear_operator([[0.1]], [[0.1]], [0.0, 0.0], Box([-1.0], [1.0]))
+        with pytest.raises(ValueError, match="a_matrix.*non-finite"):
+            make_linear_operator([[np.nan]], [[0.1]], [0.0], Box([-1.0], [1.0]))
+        with pytest.raises(ValueError, match="a_matrix and b_matrix differ in shape"):
+            make_linear_operator([[0.1]], np.zeros((2, 2)), [0.0], Box([-1.0], [1.0]))
+        with pytest.raises(ValueError, match="domain has dimension 2"):
+            make_linear_operator([[0.1]], [[0.1]], [0.0], Box([-1.0, -1.0], [1.0, 1.0]))
 
     def test_weak_nonexpansiveness_on_sampled_quadruples(self):
         # With ||A|| + ||B|| <= 1 the triangle inequality bounds ||dF|| by

@@ -187,6 +187,12 @@ class TestBox:
         with pytest.raises(ValueError, match="non-finite"):
             Box([0.0], [np.inf])
 
+    def test_equality_compares_bounds(self):
+        assert Box([0.0], [1.0]) == Box([0], [1])
+        assert Box([0.0], [1.0]) != Box([0.0], [2.0])
+        assert Box([0.0], [1.0]) != Box([0.0, 0.0], [1.0, 1.0])
+        assert Box([0.0], [1.0]) != (np.zeros(1), np.ones(1))
+
 
 class TestProjectBox:
     def test_clamp_upper(self):
