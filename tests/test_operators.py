@@ -232,6 +232,16 @@ class TestMakeLinearOperator:
         with pytest.raises(ValueError, match="domain has dimension 2"):
             make_linear_operator([[0.1]], [[0.1]], [0.0], Box([-1.0, -1.0], [1.0, 1.0]))
 
+    def test_integer_past_the_float_range_named(self):
+        # float(10**400) overflows; every array argument reports it as a ValueError naming itself.
+        with pytest.raises(ValueError, match="^a_matrix .*non-finite"):
+            make_linear_operator([[10**400]], [[0.0]], [0.0], Box([-1.0], [1.0]))
+        with pytest.raises(ValueError, match="^b_matrix .*non-finite"):
+            make_linear_operator([[0.0]], [[-(10**400)]], [0.0], Box([-1.0], [1.0]))
+        block = np.array([[10**400]], dtype=object)
+        with pytest.raises(ValueError, match="^x .*non-finite"):
+            get_operator("example_2_1").eval(block, np.zeros((1, 1)))
+
     def test_weak_nonexpansiveness_on_sampled_quadruples(self):
         # With ||A|| + ||B|| <= 1 the triangle inequality bounds ||dF|| by
         # ||A|| ||x-u|| + ||B|| ||y-v|| <= max(||x-u||, ||y-v||).
