@@ -37,7 +37,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .space import Box, _as_number, _as_rows, as_vector, norm
+from .space import Box, _as_array, _as_number, as_vector, norm
 
 __all__ = [
     "NonFiniteEvaluationError",
@@ -74,10 +74,13 @@ class CoupledPair:
     y: np.ndarray
 
     def __post_init__(self) -> None:
-        self.x = as_vector(self.x, "x")
-        self.y = as_vector(self.y, "y")
-        if self.x.shape != self.y.shape:
-            raise ValueError(f"pair components differ in dimension: {self.x.shape[0]} vs {self.y.shape[0]}")
+        self.x = _as_array(self.x, "x")
+        self.y = _as_array(self.y, "y")
+        if self.x.ndim != 1 or self.x.shape != self.y.shape or not self.x.size:
+            # Off the fast path: as_vector turns a scalar into shape (1,) and names any other shape.
+            self.x, self.y = as_vector(self.x, "x"), as_vector(self.y, "y")
+            if self.x.shape != self.y.shape:
+                raise ValueError(f"pair components differ in dimension: {self.x.shape[0]} vs {self.y.shape[0]}")
 
     @property
     def dim(self) -> int:
@@ -120,27 +123,32 @@ class BivariateOperator:
     def eval(self, x, y) -> np.ndarray:
         """Evaluate F at one pair of vectors, or row by row at a block of pairs.
 
-        ``x`` and ``y`` are both vectors of shape (d,), or both numpy arrays
-        of shape (n, d) whose rows are evaluated as n separate pairs. The
+        ``x`` and ``y`` are both vectors of shape (d,), or both arrays of
+        shape (n, d) whose rows are evaluated as n separate pairs; the number
+        of axes of ``x`` decides which, and one rule checks both. The
         evaluator must return the shape of its arguments, (d,) or (n, d);
         any other shape raises ``OutputDimensionError``. Deterministic and
         side-effect free.
         """
-        if getattr(x, "ndim", 1) == 2:
-            xv = _as_rows(x, "x")
-            yv = _as_rows(y, "y")
-            if xv.shape[0] != yv.shape[0]:
-                raise ValueError(f"operator {self.name!r} got {xv.shape[0]} and {yv.shape[0]} rows")
-            dx, dy = xv.shape[1], yv.shape[1]
-        else:
-            xv = as_vector(x, "x")
-            yv = as_vector(y, "y")
-            dx, dy = xv.shape[0], yv.shape[0]
+        xv = _as_array(x, "x")
+        yv = _as_array(y, "y")
         d = self.domain.lower.shape[0]  # self.dim, read without two property calls
-        if dx != d or dy != d:
-            raise ValueError(
-                f"operator {self.name!r} has dimension {d}, got arguments of dimension {dx} and {dy}"
-            )
+        if not 1 <= xv.ndim <= 2 or xv.shape != yv.shape or xv.shape[-1] != d or not xv.size:
+            # Off the fast path: a block when x has two axes, else a vector, into
+            # which a 0-d scalar turns; any other shape is named.
+            block = xv.ndim == 2
+            xv, yv = (v if block else v.reshape(v.shape or (1,)) for v in (xv, yv))
+            for name, v in (("x", xv), ("y", yv)):
+                if v.ndim != 1 + block or not v.size:
+                    rule = "a block of rows (n, d)" if block else "a 1-D sequence"
+                    raise ValueError(f"{name} must be {rule} of reals, got shape {v.shape}")
+            if block and xv.shape[0] != yv.shape[0]:
+                raise ValueError(f"operator {self.name!r} got {xv.shape[0]} and {yv.shape[0]} rows")
+            dx, dy = xv.shape[-1], yv.shape[-1]
+            if dx != d or dy != d:
+                raise ValueError(
+                    f"operator {self.name!r} has dimension {d}, got arguments of dimension {dx} and {dy}"
+                )
         out = np.asarray(self.evaluator(xv, yv), dtype=float)
         if out.shape != xv.shape:
             raise OutputDimensionError(f"operator {self.name!r} returned shape {out.shape}, expected {xv.shape}")
@@ -162,18 +170,15 @@ def is_coupled_fixed_point(f: BivariateOperator, pair: CoupledPair, tol: float) 
 
 
 def _as_square_matrix(value, name: str) -> np.ndarray:
-    m = np.array(value, dtype=float)
+    m = _as_array(value, name)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError(f"{name} has non-finite entries")
     return m
 
 
 def _interval_range_contained(a: np.ndarray, b: np.ndarray, c: np.ndarray, box: Box) -> bool:
     # Exact componentwise range of A x + B y + c over the box, by interval arithmetic.
-    lo = c.copy()
-    hi = c.copy()
+    lo, hi = c, c  # each sum below makes a new array
     for m in (a, b):
         ml = m * box.lower[None, :]
         mu = m * box.upper[None, :]
@@ -212,9 +217,7 @@ def make_linear_operator(
     norm_a = float(np.linalg.norm(a, 2))
     norm_b = float(np.linalg.norm(b, 2))
     known: tuple[CoupledPair, ...] = ()
-    want_fixed_point = attach_fixed_point
-    if want_fixed_point is None:
-        want_fixed_point = norm_a + norm_b < 1.0
+    want_fixed_point = norm_a + norm_b < 1.0 if attach_fixed_point is None else attach_fixed_point
     if want_fixed_point:
         system = np.eye(d) - a - b
         try:

@@ -25,18 +25,24 @@ __all__ = [
 ]
 
 
-def as_vector(value, name: str = "vector") -> np.ndarray:
-    """Coerce ``value`` to a finite 1-D float64 array (always a fresh copy)."""
+def _as_array(value, name: str) -> np.ndarray:
+    """Coerce ``value`` to a finite float64 array of any shape (a fresh copy); callers check the shape."""
     try:
         arr = np.array(value, dtype=float)
     except OverflowError:  # an int past the float range
         raise ValueError(f"{name} has non-finite coordinates") from None
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:  # one C call; .all() goes through Python
+        raise ValueError(f"{name} has non-finite coordinates")
+    return arr
+
+
+def as_vector(value, name: str = "vector") -> np.ndarray:
+    """Coerce ``value`` to a finite 1-D float64 array (always a fresh copy)."""
+    arr = _as_array(value, name)
     if arr.ndim == 0:
         arr = arr.reshape(1)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"{name} must be a 1-D sequence of reals, got shape {arr.shape}")
-    if np.count_nonzero(np.isfinite(arr)) != arr.size:  # one C call; .all() goes through Python
-        raise ValueError(f"{name} has non-finite coordinates")
     return arr
 
 
@@ -52,16 +58,6 @@ def _as_number(value, name: str, kind: type = float):
     if typed is None or kind is int and typed != value:
         raise ValueError(f"{name} must be {'an integer' if kind is int else 'a real number'}, got {value!r}")
     return typed
-
-
-def _as_rows(value, name: str) -> np.ndarray:
-    """Coerce ``value`` to a finite (n, d) float64 block of rows (always a fresh copy)."""
-    arr = np.array(value, dtype=float)
-    if arr.ndim != 2 or arr.size < 1:
-        raise ValueError(f"{name} must be a block of rows (n, d) of reals, got shape {arr.shape}")
-    if np.count_nonzero(np.isfinite(arr)) != arr.size:
-        raise ValueError(f"{name} has non-finite coordinates")
-    return arr
 
 
 def _require_same_dim(a: np.ndarray, b: np.ndarray, what: str) -> None:
