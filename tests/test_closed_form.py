@@ -36,6 +36,11 @@ class TestHandles:
         with pytest.raises(ValueError, match="lam"):
             OracleHandle(KRASNOSELSKIJ_EXAMPLE_4_1, [1.0], lam=lam)
 
+    @pytest.mark.parametrize("lam", ["0.5", True])
+    def test_lam_is_a_real_number(self, lam):
+        with pytest.raises(ValueError, match="^lam must be a real number"):
+            OracleHandle(KRASNOSELSKIJ_EXAMPLE_4_1, [1.0], lam=lam)
+
     def test_diagonal_kind_takes_y0_only_equal_to_x0(self):
         h = OracleHandle(KRASNOSELSKIJ_EXAMPLE_4_1, [0.5], [0.5], lam=0.25)
         assert oracle_iterate(h, 0) == CoupledPair([0.5], [0.5])

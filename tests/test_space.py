@@ -105,6 +105,19 @@ class TestConvexCombination:
         with pytest.raises(ValueError, match="dimension mismatch"):
             convex_combination(0.5, [1.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("lam", ["0.5", True, False, None, [0.5]])
+    def test_lambda_is_a_real_number(self, lam):
+        # Typed like every other library number: a string or a bool is not a weight.
+        with pytest.raises(ValueError, match="^lam must be a real number"):
+            convex_combination(lam, [1.0], [0.0])
+        with pytest.raises(ValueError, match="^lam must be a real number"):
+            convex_identity_defect(lam, [1.0], [0.0], [0.0])
+
+    def test_integral_and_numpy_weights_accepted(self):
+        assert convex_combination(1, [1.0], [0.0]).tolist() == [1.0]
+        assert convex_combination(np.float64(0.25), [1.0], [0.0]).tolist() == [0.25]
+        assert convex_identity_defect(np.float32(0.5), [2.0], [0.0], [1.0]) == 0.0
+
     @given(unit_interval, vectors(), vectors())
     @settings(deadline=None)
     def test_distance_scales_linearly(self, lam, x, y):
