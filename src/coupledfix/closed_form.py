@@ -104,9 +104,10 @@ class OracleHandle:
                 raise ValueError(f"oracle kind {self.kind!r} is diagonal; y0 must equal x0")
             object.__setattr__(self, "y0", y0)
         if self.kind in _KINDS_WITH_LAM:
-            if self.lam is None or not 0.0 < float(self.lam) < 1.0:
+            lam = None if self.lam is None else _as_number(self.lam, "lam")
+            if lam is None or not 0.0 < lam < 1.0:
                 raise ValueError(f"oracle kind {self.kind!r} requires lam in (0, 1), got {self.lam}")
-            object.__setattr__(self, "lam", float(self.lam))
+            object.__setattr__(self, "lam", lam)
 
 
 def _powers(h: OracleHandle, n_max: int):

@@ -104,7 +104,7 @@ def norm(x) -> float:
 
 def convex_combination(lam: float, x, y) -> np.ndarray:
     """Return ``lam * x + (1 - lam) * y`` componentwise, with ``lam`` in [0, 1]."""
-    lam = float(lam)
+    lam = _as_number(lam, "lam")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     xv = as_vector(x, "x")
@@ -125,7 +125,7 @@ def convex_identity_defect(lam: float, x, y, z) -> float:
     evaluated in double precision, so its magnitude measures rounding
     error only; it scales with the squared magnitudes of the operands.
     """
-    lam = float(lam)
+    lam = _as_number(lam, "lam")
     xv = as_vector(x, "x")
     yv = as_vector(y, "y")
     zv = as_vector(z, "z")
