@@ -256,6 +256,18 @@ class TestPicardScheme:
         assert (tr.status, tr.cycle_detected, tr.step_indices) == (MAX_ITER_REACHED, True, [0, 1, 2])
         assert np.array_equal(tr.iterates[2].x, tr.iterates[0].x)
 
+    @pytest.mark.parametrize("d", [2, 5, 100])
+    def test_two_cycle_detected_where_the_norms_pass_the_float_maximum(self, d):
+        # The same flip in d dimensions: from 1.7e308 and up every iterate's
+        # norm exceeds the float maximum, and so does 1e308 from d = 5 on.
+        big = np.finfo(float).max
+        f = BivariateOperator(
+            name="flip", domain=Box([-big] * d, [big] * d), evaluator=lambda x, y: -x, range_in_domain=True
+        )
+        for start in (1e308, 1.7e308, big):
+            tr = picard_double(f, [start] * d, [-start] * d, cfg(PICARD_DOUBLE, max_iter=50))
+            assert (tr.status, tr.cycle_detected, tr.step_indices) == (MAX_ITER_REACHED, True, [0, 1, 2]), start
+
     def test_converged_pair_not_asserted_fixed(self):
         # The engine must stop by residual without claiming anything about
         # which fixed point (if any) was reached; the skew-map limit from
