@@ -169,15 +169,18 @@ def _is_two_cycle(
     # Period-2 orbit: the pair two steps back coincides to rounding scale,
     # AND the intermediate step was macroscopic. Without the amplitude
     # requirement, any converging sequence eventually satisfies the first
-    # condition (all late iterates are near the limit). Every term is
-    # halved, which is exact away from subnormals and keeps the scales
-    # finite wherever the norms are, up to the float maximum; a difference
-    # that overflows is inf, and an inf amplitude is rightly macroscopic.
-    sx = 0.5 + 0.5 * _norm(x) + 0.5 * _norm(prev2[0])
-    sy = 0.5 + 0.5 * _norm(y) + 0.5 * _norm(prev2[1])
-    if 0.5 * _norm(x - prev2[0]) > _CYCLE_RTOL * sx or 0.5 * _norm(y - prev2[1]) > _CYCLE_RTOL * sy:
+    # condition (all late iterates are near the limit). Every vector is
+    # first scaled by the power of two s = 2**-k with 2**k >= 2d (s = 1/2 at
+    # d = 1). That is exact away from subnormals, so no decision changes,
+    # and it keeps every difference, norm and scale below the float maximum:
+    # each norm is at most s * 2 sqrt(d) * max <= max / sqrt(d).
+    s = math.ldexp(1.0, -(2 * x.shape[0] - 1).bit_length())
+    x, y, qx, qy = s * x, s * y, s * prev2[0], s * prev2[1]
+    sx = s + _norm(x) + _norm(qx)
+    sy = s + _norm(y) + _norm(qy)
+    if _norm(x - qx) > _CYCLE_RTOL * sx or _norm(y - qy) > _CYCLE_RTOL * sy:
         return False
-    amplitude = 0.5 * max(_norm(prev[0] - prev2[0]), _norm(prev[1] - prev2[1]))
+    amplitude = max(_norm(s * prev[0] - qx), _norm(s * prev[1] - qy))
     return amplitude > _CYCLE_MIN_AMPLITUDE * max(sx, sy)
 
 
