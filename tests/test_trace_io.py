@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -16,6 +17,8 @@ from coupledfix import (
     SCHEMES,
     BivariateOperator,
     Box,
+    CoupledPair,
+    IterationTrace,
     SchemeConfig,
     get_operator,
     krasnoselskij_diagonal,
@@ -233,6 +236,41 @@ class TestJsonRejects:
         for bad in (doc[key][:1], doc[key] * 2):
             with pytest.raises(ValueError, match=f"^{key} has {len(bad)} entries, iterates has 2$"):
                 trace_from_json(json.dumps({**doc, key: bad}))
+
+
+def _hand_built(**changes) -> IterationTrace:
+    # One converged entry, built by hand as a library caller would.
+    fields = dict(
+        step_indices=[0], iterates=[CoupledPair([0.0], [0.0])], residuals=[0.0], distances_to_target=None,
+        status="converged", scheme_config=SchemeConfig(PICARD_DOUBLE, guard_domain=False), operator_name="hand",
+    )
+    return IterationTrace(**{**fields, **changes})
+
+
+class TestTraceBuiltOnlyIfReadable:
+    # A trace that trace_from_json would reject is refused when it is built.
+    def test_hand_built_trace_round_trips(self):
+        trace = _hand_built(distances_to_target=[0.5])
+        assert trace_from_json(trace_to_json(trace)) == trace
+
+    def test_unresolved_guard_rejected(self):
+        with pytest.raises(ValueError, match="^guard_domain must be a boolean, got None$"):
+            _hand_built(scheme_config=SchemeConfig(PICARD_DOUBLE))
+
+    def test_at_least_one_entry(self):
+        with pytest.raises(ValueError, match=r"^iterates must be a non-empty array, got \[\]$"):
+            _hand_built(step_indices=[], iterates=[], residuals=[])
+
+    @pytest.mark.parametrize(
+        "field, key, value",
+        [("step_indices", "step_indices", [0, 1]), ("residuals", "residuals", [0.0, 0.0]),
+         ("residuals", "residuals", []), ("distances_to_target", "distances", [0.5, 0.5])],
+    )
+    def test_lists_as_long_as_iterates(self, field, key, value):
+        with pytest.raises(ValueError, match=f"^{key} has {len(value)} entries, iterates has 1$"):
+            _hand_built(**{field: value})
+        with pytest.raises(ValueError, match=f"^{key} has {len(value)} entries"):
+            dataclasses.replace(_hand_built(), **{field: value})
 
 
 def _short_doc():
