@@ -135,6 +135,12 @@ class IterationTrace:
     resolved copy actually used (in particular ``guard_domain`` is a
     concrete bool). Two traces are equal when every field is; iterates
     compare element by element (``np.array_equal``, so 0.0 equals -0.0).
+
+    A trace is built only if ``trace_from_json`` could read it back, as far
+    as that takes constant time: ``guard_domain`` is resolved, there is at
+    least one entry, and ``step_indices``, ``residuals`` and any
+    ``distances_to_target`` are as long as ``iterates``. Anything else
+    raises the reader's ``ValueError``.
     """
 
     step_indices: list[int]
@@ -145,6 +151,20 @@ class IterationTrace:
     scheme_config: SchemeConfig
     operator_name: str
     cycle_detected: bool = False
+
+    def __post_init__(self) -> None:
+        if self.scheme_config.guard_domain is None:
+            raise ValueError("guard_domain must be a boolean, got None")
+        m = len(self.iterates)
+        if not m:
+            raise ValueError(f"iterates must be a non-empty array, got {self.iterates!r}")
+        for key, values in (
+            ("step_indices", self.step_indices),
+            ("residuals", self.residuals),
+            ("distances", self.distances_to_target),
+        ):
+            if values is not None and len(values) != m:
+                raise ValueError(f"{key} has {len(values)} entries, iterates has {m}")
 
     @property
     def final_pair(self) -> CoupledPair:

@@ -20,7 +20,8 @@ raises a ``ValueError`` naming the key for anything else:
 - a config that ``SchemeConfig`` rejects (an unknown scheme, theta
   outside (0, 1), ``tol`` of 0, ...);
 - an empty ``iterates``, or a ``residuals`` or ``distances`` list whose
-  length differs from it;
+  length differs from it (``IterationTrace`` refuses these when it is
+  built, and an unresolved ``guard_domain`` too);
 - an iterate that is not ``{n, x, y}``, step indices that are not
   integers rising from 0 (such as ``1.5`` or ``[0, 1, 7, 3]``), ``x`` or
   ``y`` that is not an array of finite numbers, or iterates of different
@@ -94,7 +95,7 @@ _KEYS = {
     "theta": (lambda t: format_float(t.scheme_config.theta), _NUMBER),
     "tol": (lambda t: format_float(t.scheme_config.tol), _NUMBER),
     "status": (lambda t: json.dumps(t.status), (f"one of {_STATUSES}", _STATUSES.__contains__)),
-    "iterates": (_iterates, ("a non-empty array", lambda v: type(v) is list and len(v) > 0)),
+    "iterates": (_iterates, _kind("an array", list)),  # IterationTrace rejects an empty one
     "residuals": (lambda t: _array(t.residuals), _kind("an array", list)),
     "distances": (
         lambda t: "null" if t.distances_to_target is None else _array(t.distances_to_target),
@@ -144,13 +145,8 @@ def trace_from_json(text: str) -> IterationTrace:
         if not accepts(doc[key]):
             raise ValueError(f"{key} must be {name}, got {reprlib.repr(doc[key])}")
     cfg = SchemeConfig(**{key: doc[key] for key in _CONFIG_KEYS})
-    entries = doc["iterates"]
-    norms = {key: doc[key] for key in ("residuals", "distances") if doc[key] is not None}
-    for key, values in norms.items():
-        if len(values) != len(entries):
-            raise ValueError(f"{key} has {len(values)} entries, iterates has {len(entries)}")
-    steps, iterates, floats = [], [], {key: [] for key in norms}
-    for k, e in enumerate(entries):
+    steps, iterates = [], []
+    for k, e in enumerate(doc["iterates"]):
         if type(e) is not dict or e.keys() != _ENTRY_KEYS.keys():
             raise _wrong_keys(f"iterates[{k}]", e, _ENTRY_KEYS)
         n, x, y = e["n"], e["x"], e["y"]
@@ -166,13 +162,17 @@ def trace_from_json(text: str) -> IterationTrace:
             raise ValueError(f"iterates[{k}] has dimension {pair.dim}, iterates[0] has {iterates[0].dim}")
         steps.append(n)
         iterates.append(pair)
-        for key, values in norms.items():
-            floats[key].append(_norm_value(key, k, values[k]))
+    # Each list is walked on its own; the constructor compares the lengths.
+    norms = {
+        key: [_norm_value(key, k, v) for k, v in enumerate(doc[key])]
+        for key in ("residuals", "distances")
+        if doc[key] is not None
+    }
     return IterationTrace(
         step_indices=steps,
         iterates=iterates,
-        residuals=floats["residuals"],
-        distances_to_target=floats.get("distances"),
+        residuals=norms["residuals"],
+        distances_to_target=norms.get("distances"),
         status=doc["status"],
         scheme_config=cfg,
         operator_name=doc["operator_name"],
