@@ -24,6 +24,7 @@ class TestEval:
     def test_skew_map_value(self):
         f = get_operator("example_2_1")
         assert f.eval([1.0], [0.0]) == pytest.approx([1.0 / 3.0], abs=1e-15)
+        assert f.eval(1.0, 0.0) == pytest.approx([1.0 / 3.0], abs=1e-15)  # a scalar is a vector (1,)
 
     def test_quadratic_map_value(self):
         f = get_operator("example_2_2")
@@ -37,6 +38,10 @@ class TestEval:
         f = get_operator("example_2_1")
         with pytest.raises(ValueError, match="dimension"):
             f.eval([1.0, 2.0], [0.0])
+        with pytest.raises(ValueError, match="^x must be a 1-D sequence"):
+            f.eval([], [])
+        with pytest.raises(ValueError, match="^y must be a 1-D sequence"):
+            f.eval([0.5], np.zeros((3, 1)))
 
     def test_non_finite_output_flagged(self):
         bad = BivariateOperator(
@@ -95,6 +100,12 @@ class TestEval:
             f.eval(np.zeros((3, 1)), np.zeros((2, 1)))
         with pytest.raises(ValueError, match="non-finite"):
             f.eval(np.full((2, 1), np.nan), np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="^x must be a block of rows"):
+            f.eval(np.zeros((0, 1)), np.zeros((0, 1)))
+        with pytest.raises(ValueError, match="^y must be a block of rows"):
+            f.eval(np.zeros((3, 1)), np.zeros(1))
+        with pytest.raises(ValueError, match="^x must be "):
+            f.eval(np.zeros((2, 3, 1)), np.zeros((2, 3, 1)))
 
     def test_deterministic(self):
         f = get_operator("example_2_2")
@@ -271,6 +282,10 @@ class TestCoupledPair:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             CoupledPair([1.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="^x must be a 1-D sequence"):
+            CoupledPair([], [])
+        with pytest.raises(ValueError, match="^y must be a 1-D sequence"):
+            CoupledPair([1.0], [[1.0]])
 
     def test_equality_is_bitwise(self):
         assert CoupledPair([0.1], [0.2]) == CoupledPair([0.1], [0.2])
@@ -280,3 +295,4 @@ class TestCoupledPair:
         x, y = CoupledPair([1.0], [2.0])
         assert x == pytest.approx([1.0])
         assert y == pytest.approx([2.0])
+        assert CoupledPair(1.0, 2.0) == CoupledPair([1.0], [2.0])  # scalars are vectors (1,)
