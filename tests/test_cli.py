@@ -667,6 +667,23 @@ class TestAnalyzeLinear:
         assert "contraction_candidate" in doc["classification"]
 
 
+class TestOutPath:
+    COMMANDS = {
+        "run": ("run", "--operator", "example_4_1", "--x0", "[1]"),
+        "sweep": ("sweep", "--operator", "example_4_1", "--x0", "[1]", "--thetas", "0.5"),
+        "analyze": ("analyze", "example_4_1", "--samples", "10"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_out_is_an_error(self, tmp_path, capsys, command, where):
+        out = tmp_path / "missing" / "t.json" if where == "missing_dir" else tmp_path
+        assert run_cli(*self.COMMANDS[command], "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: out: cannot write {str(out)!r}: ")
+        assert "Traceback" not in err
+
+
 class TestListOperators:
     def test_lists_registry_and_linear(self, capsys):
         assert run_cli("list-operators") == 0

@@ -424,6 +424,21 @@ class TestTraceMechanics:
         assert stride == -(-2001 // 50)
         assert len(tr.residuals) == len(tr.iterates)
 
+    def test_thinned_run_keeps_the_last_pair_before_a_nonfinite_evaluation(self, monkeypatch):
+        # Stride ceil(5001 / 50) = 101. F = 2x doubles the iterate until
+        # F(2**1023) overflows, so the run ends at step 1022, which thinning
+        # skipped: the trace must still end on the last pair evaluated.
+        monkeypatch.setattr(iteration_mod, "TRACE_CAP", 50)
+        big = np.finfo(float).max
+        f = BivariateOperator(
+            name="doubling", domain=Box([-big], [big]), evaluator=lambda x, y: 2.0 * x, range_in_domain=True
+        )
+        tr = picard_double(f, [1.0], [1.0], cfg(PICARD_DOUBLE, max_iter=5000))
+        assert tr.status == DIVERGED_NONFINITE
+        assert tr.n_steps == 1022
+        assert tr.final_pair.x[0] == 2.0**1022
+        assert tr.step_indices[:-1] == list(range(0, 1022, 101))
+
     def test_seed_carried_in_config(self):
         f = get_operator("example_4_1")
         tr = krasnoselskij_diagonal(f, [1.0], cfg(KRASNOSELSKIJ_DIAGONAL, seed=77))

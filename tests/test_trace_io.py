@@ -119,6 +119,20 @@ class TestJsonRoundTrip:
         assert again == trace
         assert again.step_indices == trace.step_indices
 
+    def test_negative_zero_keeps_its_sign(self):
+        # format_float(-0.0) writes "-0", which json reads as the integer 0.
+        trace = _hand_built(
+            iterates=[CoupledPair([-0.0, 0.5], [0.0, -0.0])],
+            scheme_config=SchemeConfig(PICARD_DOUBLE, theta=-0.0, guard_domain=False),
+        )
+        text = trace_to_json(trace)
+        assert '"x": [-0, 0.5]' in text
+        again = trace_from_json(text)
+        assert np.signbit(again.final_pair.x).tolist() == [True, False]
+        assert np.signbit(again.final_pair.y).tolist() == [False, True]
+        assert math.copysign(1.0, again.scheme_config.theta) == -1.0
+        assert trace_to_json(again) == text
+
 
 def flip():
     # F(x, y) = -x on the widest box: from 1.7e308 every residual |x - F| overflows to inf.
@@ -365,6 +379,13 @@ class TestJsonRejectsWhatTheWriterCannotWrite:
     @pytest.mark.parametrize("text", ["[]", "5", '"trace"', "null"])
     def test_document_is_an_object(self, text):
         with pytest.raises(ValueError, match="^trace must be a JSON object"):
+            trace_from_json(text)
+
+    @pytest.mark.parametrize(
+        "text", ["[" * 100_000, '{"scheme": ' + "[" * 100_000 + "]" * 100_000 + "}"], ids=["unclosed", "closed"]
+    )
+    def test_document_nested_too_deep(self, text):
+        with pytest.raises(ValueError, match="^trace is nested too deep to read$"):
             trace_from_json(text)
 
 
