@@ -260,8 +260,11 @@ def _write_output(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"out: cannot write {out!r}: {exc}") from exc
 
 
 def _build_run(spec: dict):

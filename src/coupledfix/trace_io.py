@@ -9,10 +9,14 @@ written are declared once, in ``_KEYS``; ``iterates`` is an array of
 
 Iterates are finite; a residual or distance that overflowed is +inf,
 which JSON cannot spell, so it is written as ``1e999`` (read back as inf).
+A ``-0.0`` (a coordinate, or a Picard ``theta``) is written as ``-0``, and
+the reader takes ``-0`` as that float, not as the integer 0, so its sign
+survives the round trip.
 ``trace_from_json`` reads back only what ``trace_to_json`` can write, and
 raises a ``ValueError`` naming the key for anything else:
 
-- a document that is not an object, or lacks a key or has one more;
+- a document that is not an object, or lacks a key or has one more, or
+  is nested too deep for ``json`` to read;
 - a value of the wrong JSON kind, from ``_KEYS`` (a string ``theta``, a
   float ``max_iter``, ``"no"`` or ``1`` for ``cycle_detected`` or
   ``guard_domain``, a non-string ``operator_name``), or a ``status``
@@ -136,9 +140,16 @@ def _norm_value(key: str, k: int, v) -> float:
     return f
 
 
+def _parse_int(literal: str):
+    return -0.0 if literal == "-0" else int(literal)
+
+
 def trace_from_json(text: str) -> IterationTrace:
     """Parse what ``trace_to_json`` wrote; a ``ValueError`` names what is wrong."""
-    doc = json.loads(text)
+    try:  # "-0" is how format_float writes -0.0; json alone would read the integer 0
+        doc = json.loads(text, parse_int=_parse_int)
+    except RecursionError:
+        raise ValueError("trace is nested too deep to read") from None
     if type(doc) is not dict or doc.keys() != _KEYS.keys():
         raise _wrong_keys("trace", doc, _KEYS)
     for key, (_, (name, accepts)) in _KEYS.items():
