@@ -204,29 +204,6 @@ def _is_two_cycle(
     return amplitude > _CYCLE_MIN_AMPLITUDE * max(sx, sy)
 
 
-class _Recorder:
-    """Stride-thinned trace storage that always keeps the final entry."""
-
-    def __init__(self, max_iter: int, target: np.ndarray | None, cap: int):
-        self.stride = 1 if max_iter + 1 <= cap else -(-(max_iter + 1) // cap)
-        self.target = target
-        self.steps: list[int] = []
-        self.iterates: list[CoupledPair] = []
-        self.residuals: list[float] = []
-        self.distances: list[float] | None = [] if target is not None else None
-
-    def record(self, n: int, x: np.ndarray, y: np.ndarray, r: float, force: bool = False) -> None:
-        if n % self.stride != 0 and not force:
-            return
-        if self.steps and self.steps[-1] == n:
-            return
-        self.steps.append(n)
-        self.iterates.append(CoupledPair(x, y))
-        self.residuals.append(r)
-        if self.distances is not None:
-            self.distances.append(max(_norm(x - self.target), _norm(y - self.target)))
-
-
 # Every overflow in a run ends in a status or in _norm's finite fallback, so
 # numpy's warnings about it would say nothing the trace does not.
 @np.errstate(over="ignore", invalid="ignore")
@@ -255,18 +232,20 @@ def _run_loop(
         raise ValueError(f"target has dimension {target_v.shape[0]}, operator expects {d}")
 
     guard = not f.range_in_domain or bool(cfg.guard_domain)
-    resolved = replace(cfg, guard_domain=guard)
-
-    relaxed = cfg.scheme != PICARD_DOUBLE
     theta = cfg.theta
-    one_minus_theta = 1.0 - theta
     box = f.domain
     escape_slack = 1e-12 * (1.0 + float(np.abs(np.concatenate([box.lower, box.upper])).max()))
     # The bounds Box.contains(v, slack=escape_slack) compares against; next
     # to the float maximum they round to inf, which is what they mean there.
     low, high = box.lower - escape_slack, box.upper + escape_slack
 
-    rec = _Recorder(cfg.max_iter, target_v, TRACE_CAP)
+    # An entry is kept every stride-th step (the least stride that keeps at
+    # most TRACE_CAP of them) and at the step where the run ends.
+    stride = -(-(cfg.max_iter + 1) // TRACE_CAP)
+    steps: list[int] = []
+    iterates: list[CoupledPair] = []
+    residuals: list[float] = []
+    distances: list[float] | None = None if target_v is None else []
     prev: tuple[np.ndarray, np.ndarray] | None = None
     prev2: tuple[np.ndarray, np.ndarray] | None = None
     last: tuple[int, np.ndarray, np.ndarray, float] | None = None
@@ -275,7 +254,7 @@ def _run_loop(
     status = None
     n = 0
 
-    while True:
+    while status is None:
         try:
             fx = f.eval(x, y)
             fy = f.eval(y, x)
@@ -286,45 +265,53 @@ def _run_loop(
             # F may be undefined off its domain, so a failure at an escaped
             # point reports the escape, ending at the last pair inside.
             status = LEFT_DOMAIN if escaped else DIVERGED_NONFINITE
-            break
+            n, x, y, r = last
+            if n % stride:  # thinning skipped the last pair evaluated
+                steps.append(n)
+                iterates.append(CoupledPair(x, y))
+                residuals.append(r)
+                if distances is not None:
+                    distances.append(max(_norm(x - target_v), _norm(y - target_v)))
+            continue
         r = max(_norm(x - fx), _norm(y - fy))
-        last = (n, x, y, r)
-        rec.record(*last)
         if escaped:
             status = LEFT_DOMAIN
         elif r <= cfg.tol:
             status = CONVERGED
-        elif cfg.scheme == PICARD_DOUBLE and prev2 is not None and _is_two_cycle(x, y, prev, prev2):
+        elif scheme == PICARD_DOUBLE and prev2 is not None and _is_two_cycle(x, y, prev, prev2):
             status, cycle = MAX_ITER_REACHED, True
         elif n >= cfg.max_iter:
             status = MAX_ITER_REACHED
+        elif scheme == PICARD_DOUBLE:
+            xn, yn = fx, fy
         else:
-            if relaxed:
-                xn = one_minus_theta * x + theta * fx
-                yn = one_minus_theta * y + theta * fy
+            xn = (1.0 - theta) * x + theta * fx
+            yn = (1.0 - theta) * y + theta * fy
+        if status is None and not (np.isfinite(xn).all() and np.isfinite(yn).all()):
+            status = DIVERGED_NONFINITE
+        if n % stride == 0 or status is not None:
+            steps.append(n)
+            iterates.append(CoupledPair(x, y))
+            residuals.append(r)
+            if distances is not None:
+                distances.append(max(_norm(x - target_v), _norm(y - target_v)))
+        if status is None:
+            if guard:
+                xn = project_box(xn, box)
+                yn = project_box(yn, box)
             else:
-                xn, yn = fx, fy
-            if not (np.isfinite(xn).all() and np.isfinite(yn).all()):
-                status = DIVERGED_NONFINITE
-        if status is not None:
-            break
-        if guard:
-            xn = project_box(xn, box)
-            yn = project_box(yn, box)
-        else:
-            escaped = not all((v >= low).all() and (v <= high).all() for v in (xn, yn))
-        prev2, prev = prev, (x, y)
-        x, y = xn, yn
-        n += 1
-    rec.record(*last, force=True)
+                escaped = not all((v >= low).all() and (v <= high).all() for v in (xn, yn))
+            prev2, prev, last = prev, (x, y), (n, x, y, r)
+            x, y = xn, yn
+            n += 1
 
     return IterationTrace(
-        step_indices=rec.steps,
-        iterates=rec.iterates,
-        residuals=rec.residuals,
-        distances_to_target=rec.distances,
+        step_indices=steps,
+        iterates=iterates,
+        residuals=residuals,
+        distances_to_target=distances,
         status=status,
-        scheme_config=resolved,
+        scheme_config=replace(cfg, guard_domain=guard),
         operator_name=f.name,
         cycle_detected=cycle,
     )
