@@ -140,14 +140,10 @@ def _norm_value(key: str, k: int, v) -> float:
     return f
 
 
-def _parse_int(literal: str):
-    return -0.0 if literal == "-0" else int(literal)
-
-
 def trace_from_json(text: str) -> IterationTrace:
     """Parse what ``trace_to_json`` wrote; a ``ValueError`` names what is wrong."""
-    try:  # "-0" is how format_float writes -0.0; json alone would read the integer 0
-        doc = json.loads(text, parse_int=_parse_int)
+    try:  # format_float writes -0.0 as "-0", which json alone reads as the integer 0
+        doc = json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))
     except RecursionError:
         raise ValueError("trace is nested too deep to read") from None
     if type(doc) is not dict or doc.keys() != _KEYS.keys():
