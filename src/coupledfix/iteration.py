@@ -9,7 +9,9 @@ Three schemes are provided, all driven by a residual stopping rule:
 
 Weight convention: ``theta`` is always the weight on the operator image,
 applied literally as ``(1 - theta) * current + theta * image`` so that a
-stated theta enters the arithmetic unchanged. The residual at a pair is
+stated theta enters the arithmetic unchanged. For theta in (0, 1) the rounded
+combination of finite vectors is finite, even at the float maximum, so only F
+can end a run ``diverged_nonfinite``. The residual at a pair is
 
     r_n = max(||x_n - F(x_n, y_n)||, ||y_n - F(y_n, x_n)||),
 
@@ -248,7 +250,6 @@ def _run_loop(
     distances: list[float] | None = None if target_v is None else []
     prev: tuple[np.ndarray, np.ndarray] | None = None
     prev2: tuple[np.ndarray, np.ndarray] | None = None
-    last: tuple[int, np.ndarray, np.ndarray, float] | None = None
     cycle = False
     escaped = False
     status = None
@@ -259,36 +260,25 @@ def _run_loop(
             fx = f.eval(x, y)
             fy = f.eval(y, x)
         except NonFiniteEvaluationError:
-            if last is None:
+            if prev is None:
                 # Broken at the starting pair: nothing sane to trace.
                 raise
             # F may be undefined off its domain, so a failure at an escaped
             # point reports the escape, ending at the last pair inside.
             status = LEFT_DOMAIN if escaped else DIVERGED_NONFINITE
-            n, x, y, r = last
-            if n % stride:  # thinning skipped the last pair evaluated
-                steps.append(n)
-                iterates.append(CoupledPair(x, y))
-                residuals.append(r)
-                if distances is not None:
-                    distances.append(max(_norm(x - target_v), _norm(y - target_v)))
-            continue
-        r = max(_norm(x - fx), _norm(y - fy))
-        if escaped:
-            status = LEFT_DOMAIN
-        elif r <= cfg.tol:
-            status = CONVERGED
-        elif scheme == PICARD_DOUBLE and prev2 is not None and _is_two_cycle(x, y, prev, prev2):
-            status, cycle = MAX_ITER_REACHED, True
-        elif n >= cfg.max_iter:
-            status = MAX_ITER_REACHED
-        elif scheme == PICARD_DOUBLE:
-            xn, yn = fx, fy
+            n, (x, y) = n - 1, prev  # the pair evaluated last: r is its residual
+            if n % stride == 0:  # thinning already kept that pair
+                continue
         else:
-            xn = (1.0 - theta) * x + theta * fx
-            yn = (1.0 - theta) * y + theta * fy
-        if status is None and not (np.isfinite(xn).all() and np.isfinite(yn).all()):
-            status = DIVERGED_NONFINITE
+            r = max(_norm(x - fx), _norm(y - fy))
+            if escaped:
+                status = LEFT_DOMAIN
+            elif r <= cfg.tol:
+                status = CONVERGED
+            elif scheme == PICARD_DOUBLE and prev2 is not None and _is_two_cycle(x, y, prev, prev2):
+                status, cycle = MAX_ITER_REACHED, True
+            elif n >= cfg.max_iter:
+                status = MAX_ITER_REACHED
         if n % stride == 0 or status is not None:
             steps.append(n)
             iterates.append(CoupledPair(x, y))
@@ -296,12 +286,19 @@ def _run_loop(
             if distances is not None:
                 distances.append(max(_norm(x - target_v), _norm(y - target_v)))
         if status is None:
+            # No finiteness test: eval raises on a non-finite F, and for |a|, |b| <= the float
+            # maximum and theta in (0, 1), |(1 - theta) * a + theta * b| rounds to at most it.
+            if scheme == PICARD_DOUBLE:
+                xn, yn = fx, fy
+            else:
+                xn = (1.0 - theta) * x + theta * fx
+                yn = (1.0 - theta) * y + theta * fy
             if guard:
                 xn = project_box(xn, box)
                 yn = project_box(yn, box)
             else:
                 escaped = not all((v >= low).all() and (v <= high).all() for v in (xn, yn))
-            prev2, prev, last = prev, (x, y), (n, x, y, r)
+            prev2, prev = prev, (x, y)
             x, y = xn, yn
             n += 1
 

@@ -178,12 +178,15 @@ def _as_square_matrix(value, name: str) -> np.ndarray:
 
 def _interval_range_contained(a: np.ndarray, b: np.ndarray, c: np.ndarray, box: Box) -> bool:
     # Exact componentwise range of A x + B y + c over the box, by interval arithmetic.
+    # An overflowed product or sum (inf, or nan from inf - inf) fails a comparison
+    # below, so the verdict is False and the engine guards the domain, which is safe.
     lo, hi = c, c  # each sum below makes a new array
-    for m in (a, b):
-        ml = m * box.lower[None, :]
-        mu = m * box.upper[None, :]
-        lo = lo + np.minimum(ml, mu).sum(axis=1)
-        hi = hi + np.maximum(ml, mu).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in (a, b):
+            ml = m * box.lower[None, :]
+            mu = m * box.upper[None, :]
+            lo = lo + np.minimum(ml, mu).sum(axis=1)
+            hi = hi + np.maximum(ml, mu).sum(axis=1)
     return bool((lo >= box.lower).all() and (hi <= box.upper).all())
 
 

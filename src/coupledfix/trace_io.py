@@ -31,7 +31,9 @@ raises a ``ValueError`` naming the key for anything else:
   ``y`` that is not an array of finite numbers, or iterates of different
   dimensions;
 - a residual or distance that is not a number >= 0 (a string, a boolean,
-  NaN or a negative number; ``1e999`` is inf and allowed).
+  NaN or a negative number; ``1e999`` is inf and allowed);
+- the tokens ``NaN``, ``Infinity`` and ``-Infinity``, which are not JSON
+  and which ``json`` alone would read as floats, wherever they stand.
 
 CSV output has columns ``n, x0..x{d-1}, y0..y{d-1}, residual,
 distance_to_target`` (the last column is empty when no reference point was
@@ -116,6 +118,12 @@ _CONFIG_KEYS = tuple(field.name for field in dataclasses.fields(SchemeConfig))
 _NUMBERS = frozenset({float, int})
 
 
+class _Token(str):
+    # NaN, Infinity or -Infinity, which JSON lacks and json alone reads as floats.
+    # The reader's checks test exact types, so none takes it, not even as a string.
+    __repr__ = str.__str__
+
+
 def trace_to_json(trace: IterationTrace) -> str:
     return "{\n" + ",\n".join(f'  "{key}": {write(trace)}' for key, (write, _) in _KEYS.items()) + "\n}\n"
 
@@ -143,7 +151,7 @@ def _norm_value(key: str, k: int, v) -> float:
 def trace_from_json(text: str) -> IterationTrace:
     """Parse what ``trace_to_json`` wrote; a ``ValueError`` names what is wrong."""
     try:  # format_float writes -0.0 as "-0", which json alone reads as the integer 0
-        doc = json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))
+        doc = json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s), parse_constant=_Token)
     except RecursionError:
         raise ValueError("trace is nested too deep to read") from None
     if type(doc) is not dict or doc.keys() != _KEYS.keys():

@@ -215,6 +215,20 @@ class TestClassify:
         df = norm(f.eval([4.0], [0.0]) - f.eval([3.9], [0.0]))
         assert df == pytest.approx(0.79, rel=1e-12)
 
+    @pytest.mark.parametrize("name", ["example_2_1", "example_2_2", "example_4_1"])
+    def test_quadruples_with_no_gap_are_counted_but_certify_nothing(self, name):
+        # With x == u and y == v both bounds are 0, so no row is scanned for a witness.
+        f = get_operator(name)
+        report = estimate_constants(f, 100, seed=0)
+        quads = draw_quadruples(f, 20, seed=1)
+        quads[:, 2], quads[:, 3] = quads[:, 0], quads[:, 1]
+        empty = classify(report, [], f)
+        out = classify(report, quads, f)
+        assert out.classification == empty.classification
+        assert out.boundary == empty.boundary
+        assert [w.kind for w in out.violations] == [w.kind for w in empty.violations]
+        assert out.samples_used == empty.samples_used + 20
+
     def test_operator_mismatch_rejected(self):
         report = estimate_constants(get_operator("example_2_1"), 10, seed=0)
         with pytest.raises(ValueError, match="operator"):

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import coupledfix.iteration as iteration_mod
 from coupledfix import (
@@ -16,6 +18,7 @@ from coupledfix import (
     BivariateOperator,
     Box,
     CoupledPair,
+    NonFiniteEvaluationError,
     OracleHandle,
     OutputDimensionError,
     SchemeConfig,
@@ -395,6 +398,54 @@ class TestDomainHandling:
         for pair in tr.iterates:
             assert np.isfinite(pair.x).all()
 
+    def test_nonfinite_evaluation_at_the_start_propagates(self):
+        # No pair was evaluated before, so there is nothing to end the trace on.
+        with pytest.raises(NonFiniteEvaluationError):
+            krasnoselskij_diagonal(blowup(), [1e100], cfg(KRASNOSELSKIJ_DIAGONAL, theta=0.9, max_iter=50))
+
+
+FLOAT_MAX = np.finfo(float).max
+NEXT_BELOW_MAX = np.nextafter(FLOAT_MAX, 0.0)
+
+
+class TestRelaxedStepStaysFinite:
+    # Why the engine tests no new iterate for finiteness. Take |a|, |b| <= M (the
+    # float maximum), theta in (0, 1) and c = fl(1 - theta). Rounding is monotone,
+    # so it is enough that fl(c M) + fl(theta M) < M + ulp(M) / 2. Scaled by
+    # 2**-971, M is N = 2**53 - 1, and that bound reads N + 1/2.
+    # - theta <= 1/2, c > 1/2: with k = 2**53 c and j = 2**53 - k = round(theta 2**53),
+    #   fl(c N) = fl(k - c) = k - 1 and fl(theta N) <= theta 2**53 <= j + 1/2. Both
+    #   equalities would need theta = 2**-54, and there fl(theta N) < 1/2.
+    # - c = 1/2: theta is 1/2 or 1/2 - 2**-54, fl(c N) = 2**52 - 1/2 and
+    #   fl(theta N) <= 2**52 - 1/2, so the sum is at most N.
+    # - theta > 1/2: c = 1 - theta exactly (Sterbenz), fl(theta N) = theta 2**53 - 1
+    #   and fl(c N) <= c N + 1/4, so the sum is at most N + 1/4.
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    @example(2.0**-54)
+    @example(0.5 - 2.0**-54)
+    @example(0.5)
+    @example(1.0 - 2.0**-53)
+    @settings(deadline=None)
+    def test_convex_combination_next_to_the_float_maximum(self, theta):
+        near = np.array([FLOAT_MAX, -FLOAT_MAX, NEXT_BELOW_MAX, -NEXT_BELOW_MAX])
+        a, b = np.repeat(near, 4), np.tile(near, 4)
+        assert np.isfinite((1.0 - theta) * a + theta * b).all()
+
+    @pytest.mark.parametrize("theta", [2.0**-54, 0.5 - 2.0**-54, 0.5, 1.0 - 2.0**-53, 0.3, 0.9])
+    @pytest.mark.parametrize("scheme", [KRASNOSELSKIJ_DIAGONAL, KRASNOSELSKIJ_DOUBLE])
+    def test_run_from_the_float_minimum_to_the_maximum(self, scheme, theta):
+        f = BivariateOperator(
+            name="ceiling",
+            domain=Box([-FLOAT_MAX], [FLOAT_MAX]),
+            evaluator=lambda x, y: np.full_like(x, FLOAT_MAX),
+            range_in_domain=True,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = run_scheme(f, cfg(scheme, theta=theta, max_iter=200), [-FLOAT_MAX], [-FLOAT_MAX])
+        assert tr.status in (CONVERGED, MAX_ITER_REACHED)
+        assert all(np.isfinite(pair.x).all() and np.isfinite(pair.y).all() for pair in tr.iterates)
+
 
 class TestTraceMechanics:
     def test_lengths_consistent(self):
@@ -438,6 +489,19 @@ class TestTraceMechanics:
         assert tr.n_steps == 1022
         assert tr.final_pair.x[0] == 2.0**1022
         assert tr.step_indices[:-1] == list(range(0, 1022, 101))
+
+    def test_thinned_nonfinite_exit_keeps_the_distance_of_the_restored_pair(self, monkeypatch):
+        # As above, with a target: the pair restored at step 1022 gets its own distance.
+        monkeypatch.setattr(iteration_mod, "TRACE_CAP", 50)
+        big = np.finfo(float).max
+        f = BivariateOperator(
+            name="doubling", domain=Box([-big], [big]), evaluator=lambda x, y: 2.0 * x, range_in_domain=True
+        )
+        tr = picard_double(f, [1.0], [1.0], cfg(PICARD_DOUBLE, max_iter=5000), target=[0.0])
+        assert tr.status == DIVERGED_NONFINITE
+        assert tr.n_steps == 1022
+        assert len(tr.distances_to_target) == len(tr.iterates)
+        assert tr.distances_to_target[-1] == 2.0**1022
 
     def test_seed_carried_in_config(self):
         f = get_operator("example_4_1")

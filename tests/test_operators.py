@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -252,6 +254,19 @@ class TestMakeLinearOperator:
         block = np.array([[10**400]], dtype=object)
         with pytest.raises(ValueError, match="^x .*non-finite"):
             get_operator("example_2_1").eval(block, np.zeros((1, 1)))
+
+    @pytest.mark.parametrize(
+        "a, b, box",
+        [
+            ([[1e308]], [[0.0]], Box([-1e308], [1e308])),  # A x overflows at both ends
+            ([[-1e308]], [[1e308]], Box([1e308], [1e308])),  # and -inf + inf is nan
+        ],
+    )
+    def test_overflowing_range_bounds_leave_the_box_without_a_warning(self, a, b, box):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = make_linear_operator(a, b, [0.0], box)
+        assert f.range_in_domain is False
 
     def test_weak_nonexpansiveness_on_sampled_quadruples(self):
         # With ||A|| + ||B|| <= 1 the triangle inequality bounds ||dF|| by

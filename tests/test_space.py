@@ -171,6 +171,10 @@ class TestConvexIdentityDefect:
         scale = 1.0 + inner(x, x) + inner(y, y) + inner(z, z)
         assert abs(d) <= 1e-10 * scale
 
+    def test_lambda_out_of_range(self):
+        with pytest.raises(ValueError, match=r"^lambda must lie in \[0, 1\], got 1.5$"):
+            convex_identity_defect(1.5, [1.0], [0.0], [0.0])
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             convex_identity_defect(0.5, [1.0], [2.0], [1.0, 2.0])
