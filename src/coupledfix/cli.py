@@ -17,24 +17,24 @@ Examples:
         --thetas 0.1,0.3,0.5,0.7,0.9
     coupledfix list-operators
 
-Problem files are flat ``key = value`` lines; blank lines and ``#``
-comments are ignored. One value grammar covers file lines, flags
-(``--x0 [1, 0.5]``, ``--guard-domain auto``), ``analyze`` positionals and
+Problem files are flat ``key = value`` lines; blank lines and ``#`` comments
+are ignored. One value grammar covers file lines, flags (``--x0 [1, 0.5]``,
+``--guard-domain auto``), ``analyze`` positionals and
 COUPLEDFIX_DEFAULT_TOL: ``_KINDS`` gives each key one kind. operator,
-scheme, out and format are text, kept as written. guard_domain is one of
-the words true, false, auto or none (any case), which are values of no
-other key. theta and tol are floats. max_iter, seed and samples are
-integers (``2000.0`` and ``1e3`` are integers, ``2.5`` is not). x0, y0,
-reference_fixed_point and, for operator = linear, a_matrix, b_matrix,
-shift, lower and upper are a number or a JSON array of JSON numbers,
-nested for matrices; Python-only spellings such as ``[.5]``, ``[+1]``,
-``[1, 2,]``, ``[True]`` or ``[None]`` are malformed. thetas is one or
-more comma-separated numbers, or an array, each in (0, 1).
-Every number, alone or in an array, must be finite: ``inf``, ``nan``,
-``1e999``, ``[1e999]`` and integers past the float range are rejected. A
-value that does not fit its key's kind exits 1 naming the key, also under
-a command that does not read that key (``thetas = abc`` in a ``run``
-file). A flag wins over an ``analyze`` positional, which wins over the file.
+scheme, out and format are text, kept as written. guard_domain is one of the
+words true, false, auto or none (any case), which are values of no other
+key. Every number, alone or in an array, is a JSON number, read as a trace
+is read: ``-0`` is -0.0, and ``.5``, ``5.``, ``+1``, ``1_000``, non-ASCII
+digits, ``inf`` and ``nan`` are no numbers. theta and tol are floats;
+max_iter, seed and samples are integers (``1e3`` is one, ``2.5`` is not).
+x0, y0, reference_fixed_point and, for operator = linear, a_matrix,
+b_matrix, shift, lower and upper are a number or an array of numbers, nested
+for matrices (``[1, 2,]`` or ``[True]`` is malformed). thetas is one or more
+comma-separated numbers, or an array, each in (0, 1). Every number must be
+finite: ``1e999`` and integers past the float range are rejected. A value
+that does not fit its key's kind exits 1 naming the key, also under a
+command that does not read that key (``thetas = abc`` in a ``run`` file). A
+flag wins over an ``analyze`` positional, which wins over the file.
 
 Exit codes for ``run``: 0 converged, 2 max_iter_reached (including
 detected cycles), 3 diverged or left the domain, 1 malformed input or a
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -56,7 +55,7 @@ from .contractivity import analyze_operator, report_to_json
 from .iteration import SchemeConfig, run_scheme
 from .operators import get_operator, make_linear_operator, operator_names
 from .space import Box
-from .trace_io import format_float, trace_to_csv, trace_to_json
+from .trace_io import _DECODER, _NUMBERS, format_float, trace_to_csv, trace_to_json
 
 __all__ = ["main", "parse_problem_file", "DEFAULT_TOL_ENV"]
 
@@ -70,7 +69,6 @@ _EXIT_BY_STATUS = {
 }
 
 _GUARD_WORDS = {"true": True, "false": False, "auto": None, "none": None}
-_NUMBER_TYPES = frozenset({int, float})  # bool is neither
 
 
 class CliError(ValueError):
@@ -101,18 +99,21 @@ def _is_finite(value) -> bool:
 
 def _is_number_array(value) -> bool:
     """A list whose leaves, at any depth, are numbers (``bool`` is not one)."""
-    return type(value) is list and (_NUMBER_TYPES.issuperset(map(type, value))
+    return type(value) is list and (_NUMBERS.issuperset(map(type, value))
                                     or all(map(_is_number_array, value)))
 
 
-def _number(text: str, expected: str = "a number"):
-    try:
-        value = int(text)
-    except ValueError:
-        try:
-            value = float(text)
-        except ValueError:
-            raise CliError(f"expected {expected}, got {text!r}") from None
+def _number(text: str, arrays: bool = False):
+    """A JSON number or, with ``arrays``, a JSON array of them, read as a trace is read."""
+    try:  # NaN and Infinity decode as tokens, which are not numbers
+        value = _DECODER.decode(text)
+    except (ValueError, RecursionError):  # not JSON, or nested too deep to read
+        value = None
+    if type(value) not in _NUMBERS and not (arrays and _is_number_array(value)):
+        if arrays and text.startswith("["):
+            raise CliError(f"malformed array literal {text!r}")
+        expected = "a number or an array literal" if arrays else "a number"
+        raise CliError(f"expected {expected}, got {text!r}")
     if not _is_finite(value):
         raise CliError(f"expected a finite number, got {text!r}")
     return value
@@ -137,18 +138,7 @@ def _integer(text: str) -> int:
 
 def _array(text: str):
     """A number or a JSON array of JSON numbers; ``space`` and ``operators`` check its shape."""
-    if not text.startswith("["):
-        return _number(text, "a number or an array literal")
-    try:  # NaN and Infinity come back as strings, which the leaf check rejects
-        value = json.loads(text, parse_constant=str)
-        well_formed = _is_number_array(value)
-    except (ValueError, RecursionError):  # not JSON, or nested too deep to read
-        well_formed = False
-    if not well_formed:
-        raise CliError(f"malformed array literal {text!r}")
-    if not _is_finite(value):
-        raise CliError(f"expected a finite number, got {text!r}")
-    return value
+    return _number(text, arrays=True)
 
 
 def _weights(text: str) -> list[float]:

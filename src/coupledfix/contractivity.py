@@ -116,6 +116,9 @@ class Witness:
     ratio: float
 
 
+# Images far apart overflow a difference, norm or ratio to inf (or nan, from
+# inf - inf), which the scans and the report carry on; numpy need not warn.
+@np.errstate(over="ignore", invalid="ignore")
 def witness_ratio(f: BivariateOperator, w: Witness) -> float:
     """Recompute the witness ratio from scratch; must reproduce ``w.ratio``."""
     df = _norm(f.eval(w.x, w.y) - f.eval(w.u, w.v))
@@ -193,6 +196,7 @@ def _pick(values: np.ndarray, best) -> int:
     return i if best is None or ordered[i] > best else -1
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _axis_scan(f: BivariateOperator, n_samples: int, seed: int, phase: int):
     """Max axis ratio over n_samples draws; returns (hat, argmax witness)."""
     box = f.domain
@@ -279,6 +283,7 @@ def classify(
     return _classify_blocks(report, (quads[i : i + _CHUNK] for i in range(0, len(quads), _CHUNK)), f)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _classify_blocks(report: ContractivityReport, blocks, f: BivariateOperator) -> ContractivityReport:
     """:func:`classify` with the general quadruples given as (m, 4, d) blocks."""
     # Per violation kind: (margin, quad, ratio) at the first largest margin.

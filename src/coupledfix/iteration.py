@@ -473,7 +473,9 @@ def verify_residual_decay(trace: IterationTrace) -> DiagnosticReport:
         )
 
     running_min = np.minimum.accumulate(res)
-    worst_rm = float(np.max(np.diff(running_min), initial=0.0))
+    # Compare before subtracting: residuals that start at inf would give inf - inf.
+    rise = running_min[1:] > running_min[:-1]
+    worst_rm = float(np.max(running_min[1:][rise] - running_min[:-1][rise], initial=0.0))
     checks.append(DiagnosticCheck("running_min_nonincreasing", worst_rm <= 0.0, worst_rm))
 
     if len(res) >= 50:

@@ -88,15 +88,17 @@ def _norm(v: np.ndarray) -> float:
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
     """``_norm`` of each row of an (n, d) block, bit for bit."""
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # an overflowed square is redone by _norm, which scales
         sq = np.vecdot(v, v)
-    norms = np.sqrt(sq)
-    big = sq == np.inf
-    if big.any():
-        norms[big] = [_norm(row) for row in v[big]]
+        norms = np.sqrt(sq)
+        big = sq == np.inf
+        if big.any():
+            norms[big] = [_norm(row) for row in v[big]]
     return norms
 
 
+# Not on _norm, which the engine calls every step: errstate costs about 1 us a call.
+@np.errstate(over="ignore", invalid="ignore")
 def norm(x) -> float:
     """Euclidean norm, ``sqrt(inner(x, x))``, finite for every finite ``x``."""
     return _norm(as_vector(x, "x"))

@@ -10,8 +10,8 @@ written are declared once, in ``_KEYS``; ``iterates`` is an array of
 Iterates are finite; a residual or distance that overflowed is +inf,
 which JSON cannot spell, so it is written as ``1e999`` (read back as inf).
 A ``-0.0`` (a coordinate, or a Picard ``theta``) is written as ``-0``, and
-the reader takes ``-0`` as that float, not as the integer 0, so its sign
-survives the round trip.
+``_DECODER`` reads ``-0`` as that float, not as the integer 0, so its sign
+survives the round trip; the CLI reads every number it is given with it.
 ``trace_from_json`` reads back only what ``trace_to_json`` can write, and
 raises a ``ValueError`` naming the key for anything else:
 
@@ -124,6 +124,11 @@ class _Token(str):
     __repr__ = str.__str__
 
 
+# How number text is read, in a trace and in every CLI value: JSON numbers only.
+# format_float writes -0.0 as "-0", which json alone reads as the integer 0.
+_DECODER = json.JSONDecoder(parse_int=lambda s: -0.0 if s == "-0" else int(s), parse_constant=_Token)
+
+
 def trace_to_json(trace: IterationTrace) -> str:
     return "{\n" + ",\n".join(f'  "{key}": {write(trace)}' for key, (write, _) in _KEYS.items()) + "\n}\n"
 
@@ -150,8 +155,8 @@ def _norm_value(key: str, k: int, v) -> float:
 
 def trace_from_json(text: str) -> IterationTrace:
     """Parse what ``trace_to_json`` wrote; a ``ValueError`` names what is wrong."""
-    try:  # format_float writes -0.0 as "-0", which json alone reads as the integer 0
-        doc = json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s), parse_constant=_Token)
+    try:
+        doc = _DECODER.decode(text)
     except RecursionError:
         raise ValueError("trace is nested too deep to read") from None
     if type(doc) is not dict or doc.keys() != _KEYS.keys():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from coupledfix import (
     KRASNOSELSKIJ_DIAGONAL,
     SchemeConfig,
+    format_float,
     get_operator,
     krasnoselskij_diagonal,
     trace_from_json,
@@ -438,6 +439,13 @@ def float_hexes(value):
     return [float_hexes(v) for v in value] if isinstance(value, list) else float(value).hex()
 
 
+def trace_spelling(value):
+    # How a trace writes numbers: format_float per element, so -0.0 is -0.
+    if isinstance(value, list):
+        return "[" + ", ".join(map(trace_spelling, value)) + "]"
+    return format_float(value)
+
+
 class TestValueGrammar:
     @pytest.mark.parametrize(
         "literal",
@@ -451,6 +459,21 @@ class TestValueGrammar:
         err = capsys.readouterr().err
         assert f"x0: malformed array literal {literal!r}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [".5", "5.", "+1", "1_000", "\u0661"])
+    @pytest.mark.parametrize(
+        "key, argv",
+        [
+            ("theta", ("run", "--operator", "example_4_1", "--x0", "[1]", "--theta")),
+            ("seed", ("run", "--operator", "example_4_1", "--x0", "[1]", "--seed")),
+            ("samples", ("analyze", "example_4_1")),
+        ],
+        ids=["theta", "seed", "samples"],
+    )
+    def test_only_json_numbers_alone(self, capsys, key, argv, text):
+        # Python reads each of these as a number; JSON, and so a trace, does not.
+        assert run_cli(*argv, text, *(["0"] if key == "samples" else [])) == 1
+        assert capsys.readouterr().err == f"error: {key}: expected a number, got {text!r}\n"
 
     def test_nesting_too_deep_to_read(self, capsys):
         literal = "[" * 100_000 + "]" * 100_000
@@ -473,11 +496,13 @@ class TestValueGrammar:
     @example([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308], [[2.2250738585072014e-308]])
     def test_repr_and_json_round_trip_exactly(self, tmp_path_factory, vector, matrix):
         p = tmp_path_factory.mktemp("grammar") / "problem.txt"
-        for write in (repr, json.dumps):
+        for write in (repr, json.dumps, trace_spelling):
             p.write_text(f"x0 = {write(vector)}\na_matrix = {write(matrix)}\n")
             values = parse_problem_file(str(p))
             assert float_hexes(values["x0"]) == float_hexes(vector)
             assert float_hexes(values["a_matrix"]) == float_hexes(matrix)
+        p.write_text(f"x0 = {format_float(vector[0])}\n")
+        assert float_hexes(parse_problem_file(str(p))["x0"]) == float_hexes(vector[0])
 
 
 class TestAnalyze:

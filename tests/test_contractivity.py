@@ -108,6 +108,15 @@ class TestEstimateConstants:
         with pytest.raises(ValueError, match=r"width of coordinate 1 .*overflows"):
             draw(f, 10, 0)
 
+    def test_images_past_the_float_range_emit_no_warning(self):
+        # F(x, y) = 1e308 x on [-1, 1]: image differences overflow to inf.
+        f = make_linear_operator([[1e308]], [[0.0]], [0.0], Box([-1.0], [1.0]))
+        report = analyze_operator(f, 50, 1)
+        assert REFUTED_WEAKLY_NONEXPANSIVE in report.classification
+        assert np.inf in [w.ratio for w in report.violations]
+        for w in report.violations:
+            assert witness_ratio(f, w) == w.ratio
+
     def test_axis_witnesses_reproduce_hats(self):
         f = get_operator("example_2_2")
         report = estimate_constants(f, 2_000, seed=7)

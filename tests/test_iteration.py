@@ -665,6 +665,25 @@ class TestResidualDecay:
         assert tr.status == CONVERGED
         assert verify_residual_decay(tr).passed
 
+    def test_residuals_that_start_at_inf(self):
+        # ||F(x, x) - x|| = 2|x| overflows while |x| > M / 2, so the running
+        # minimum starts inf, inf, inf: no step of it may compute inf - inf.
+        f = BivariateOperator(
+            name="negation",
+            domain=Box([-FLOAT_MAX], [FLOAT_MAX]),
+            evaluator=lambda x, y: -x,
+            range_in_domain=True,
+        )
+        tr = krasnoselskij_diagonal(
+            f, [1.7e308], cfg(KRASNOSELSKIJ_DIAGONAL, theta=0.1, tol=1e-10, max_iter=5000)
+        )
+        assert tr.status == CONVERGED
+        assert tr.residuals[:3] == [np.inf] * 3 and np.isfinite(tr.residuals[3])
+        report = verify_residual_decay(tr)
+        assert report.passed
+        check = next(c for c in report.checks if c.name == "running_min_nonincreasing")
+        assert check.passed and check.worst_violation == 0.0
+
 
 class TestRelaxedMapNonexpansive:
     def test_sampled_pairs(self):

@@ -65,6 +65,13 @@ class TestNorm:
         assert norm([3e200, 4e200]) == pytest.approx(5e200, rel=1e-15)
         assert norm([np.finfo(float).max, 0.0]) == np.finfo(float).max
 
+    def test_overflowed_square_emits_no_warning(self):
+        # Runs under the suite's error::RuntimeWarning filter.
+        from coupledfix.space import _row_norms
+
+        assert norm([1e200, 1e200]) == pytest.approx(2**0.5 * 1e200, rel=1e-15)
+        assert _row_norms(np.array([[1e200, 1e200]])).tolist() == [norm([1e200, 1e200])]
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_row_form_matches_norm_bitwise(self):
         from coupledfix.space import _norm, _row_norms
