@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -338,6 +339,7 @@ def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output path (default: stdout)")
 
 
+@functools.cache  # built once per process: parse_args does not change it
 def build_parser() -> argparse.ArgumentParser:
     """The subcommands and their flags; every value stays a string for ``_parse_value``."""
     parser = _Parser(

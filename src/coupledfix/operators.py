@@ -82,6 +82,13 @@ class CoupledPair:
             if self.x.shape != self.y.shape:
                 raise ValueError(f"pair components differ in dimension: {self.x.shape[0]} vs {self.y.shape[0]}")
 
+    @classmethod
+    def _of(cls, x: np.ndarray, y: np.ndarray) -> CoupledPair:
+        # Checked 1-D float64 arrays of equal shape, which the caller writes into no more: no copy, no check.
+        pair = object.__new__(cls)
+        pair.x, pair.y = x, y
+        return pair
+
     @property
     def dim(self) -> int:
         return self.x.shape[0]
@@ -130,8 +137,13 @@ class BivariateOperator:
         any other shape raises ``OutputDimensionError``. Deterministic and
         side-effect free.
         """
-        xv = _as_array(x, "x")
-        yv = _as_array(y, "y")
+        try:  # both arguments in one coercion and one finiteness scan
+            z = np.array((x, y), dtype=float)
+            fast = np.count_nonzero(np.isfinite(z)) == z.size
+        except (TypeError, ValueError, OverflowError):  # ragged or unequal shapes, a string, an int past floats
+            fast = False
+        # Off the fast path each argument is coerced alone, so a message names the one at fault.
+        xv, yv = z if fast else (_as_array(x, "x"), _as_array(y, "y"))
         d = self.domain.lower.shape[0]  # self.dim, read without two property calls
         if not 1 <= xv.ndim <= 2 or xv.shape != yv.shape or xv.shape[-1] != d or not xv.size:
             # Off the fast path: a block when x has two axes, else a vector, into
@@ -152,7 +164,7 @@ class BivariateOperator:
         out = np.asarray(self.evaluator(xv, yv), dtype=float)
         if out.shape != xv.shape:
             raise OutputDimensionError(f"operator {self.name!r} returned shape {out.shape}, expected {xv.shape}")
-        if not np.isfinite(out).all():
+        if np.count_nonzero(np.isfinite(out)) != out.size:
             raise NonFiniteEvaluationError(f"operator {self.name!r} returned non-finite output")
         return out
 

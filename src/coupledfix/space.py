@@ -184,8 +184,13 @@ class Box:
         return np.array_equal(self.lower, other.lower) and np.array_equal(self.upper, other.upper)
 
 
+def _clamp(v: np.ndarray, box: Box) -> np.ndarray:
+    # The one clamp rule, for a checked vector or a block of rows such as the engine's (2, d) pair.
+    return np.minimum(np.maximum(v, box.lower), box.upper)
+
+
 def project_box(x, box: Box) -> np.ndarray:
     """Componentwise clamp of ``x`` into the box; identity on interior points."""
     xv = as_vector(x, "x")
     _require_same_dim(xv, box.lower, "project_box")
-    return np.minimum(np.maximum(xv, box.lower), box.upper)
+    return _clamp(xv, box)

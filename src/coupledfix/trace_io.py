@@ -32,8 +32,8 @@ raises a ``ValueError`` naming the key for anything else:
   dimensions;
 - a residual or distance that is not a number >= 0 (a string, a boolean,
   NaN or a negative number; ``1e999`` is inf and allowed);
-- the tokens ``NaN``, ``Infinity`` and ``-Infinity``, which are not JSON
-  and which ``json`` alone would read as floats, wherever they stand.
+- ``NaN``, ``Infinity`` and ``-Infinity``, which ``json`` alone reads as
+  floats, and integers past ``int``'s 4300 digits, wherever they stand.
 
 CSV output has columns ``n, x0..x{d-1}, y0..y{d-1}, residual,
 distance_to_target`` (the last column is empty when no reference point was
@@ -119,14 +119,22 @@ _NUMBERS = frozenset({float, int})
 
 
 class _Token(str):
-    # NaN, Infinity or -Infinity, which JSON lacks and json alone reads as floats.
-    # The reader's checks test exact types, so none takes it, not even as a string.
+    # NaN, Infinity or -Infinity, which JSON lacks and json alone reads as floats, or an
+    # integer too long for int(). The reader's checks test exact types, so none takes it.
     __repr__ = str.__str__
 
 
+def _int(text: str):
+    # format_float writes -0.0 as "-0", which json alone reads as the integer 0. An
+    # integer past int()'s limit of 4300 digits is a token, which the key's check names.
+    try:
+        return -0.0 if text == "-0" else int(text)
+    except ValueError:
+        return _Token(text)
+
+
 # How number text is read, in a trace and in every CLI value: JSON numbers only.
-# format_float writes -0.0 as "-0", which json alone reads as the integer 0.
-_DECODER = json.JSONDecoder(parse_int=lambda s: -0.0 if s == "-0" else int(s), parse_constant=_Token)
+_DECODER = json.JSONDecoder(parse_int=_int, parse_constant=_Token)
 
 
 def trace_to_json(trace: IterationTrace) -> str:

@@ -15,7 +15,7 @@ from coupledfix import (
     krasnoselskij_diagonal,
     trace_from_json,
 )
-from coupledfix.cli import main, parse_problem_file
+from coupledfix.cli import build_parser, main, parse_problem_file
 
 
 def run_cli(*argv):
@@ -460,6 +460,18 @@ class TestValueGrammar:
         assert f"x0: malformed array literal {literal!r}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flag, text, message",
+        [("--seed", "{}", "expected a number, got {!r}"),
+         ("--x0", "{}", "expected a number or an array literal, got {!r}"),
+         ("--x0", "[{}]", "malformed array literal {!r}")],
+    )
+    def test_integer_past_the_digit_limit(self, capsys, flag, text, message):
+        # The trace reader's decoder takes such an integer as a token; every CLI message stays.
+        text = text.format("9" * 5001)
+        assert run_cli("run", "--operator", "example_4_1", "--x0", "[1]", flag, text) == 1
+        assert capsys.readouterr().err == f"error: {flag[2:]}: {message.format(text)}\n"
+
     @pytest.mark.parametrize("text", [".5", "5.", "+1", "1_000", "\u0661"])
     @pytest.mark.parametrize(
         "key, argv",
@@ -715,6 +727,36 @@ class TestListOperators:
         out = capsys.readouterr().out
         for name in ("example_2_1", "example_2_2", "example_4_1", "linear"):
             assert name in out
+
+
+class TestReusedParser:
+    # One parser serves every command in a process; no command's values reach the next.
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_theta_not_carried_over(self, capsys):
+        argv = ["run", "--operator", "example_4_1", "--x0", "[1]", "--max-iter", "1"]
+        run_cli(*argv, "--theta", "0.3")
+        assert json.loads(capsys.readouterr().out)["theta"] == 0.3
+        run_cli(*argv)
+        assert json.loads(capsys.readouterr().out)["theta"] == 0.5
+
+    def test_thetas_still_required(self, capsys):
+        argv = ["sweep", "--operator", "example_4_1", "--x0", "[1]"]
+        assert run_cli(*argv, "--thetas", "0.3,0.6") == 0
+        capsys.readouterr()
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err.startswith("error: thetas: required")
+
+    def test_problem_file_read_after_positionals(self, capsys, tmp_path):
+        problem = tmp_path / "p.txt"
+        problem.write_text("operator = example_4_1\nsamples = 50\nseed = 3\n")
+        assert run_cli("analyze", "example_2_1", "100", "1") == 0
+        first = json.loads(capsys.readouterr().out)
+        assert (first["operator"], first["samples_used"], first["seed"]) == ("example_2_1", 300, 1)
+        assert run_cli("analyze", "--problem", str(problem)) == 0
+        second = json.loads(capsys.readouterr().out)
+        assert (second["operator"], second["samples_used"], second["seed"]) == ("example_4_1", 150, 3)
 
 
 class TestConsoleEntryPoint:

@@ -518,6 +518,78 @@ class TestTraceMechanics:
             run_scheme(f, cfg("banach"), [1.0], [1.0])
 
 
+def _linear_run(scheme, guard):
+    f = random_linear_operator(np.random.default_rng(7), d=3)
+    xbar = f.known_coupled_fixed_points[0].x
+    c = cfg(scheme, theta=0.4, tol=1e-300, max_iter=40, guard_domain=guard)
+    return run_scheme(f, c, xbar + [0.5, -0.5, 1.0], xbar - [1.0, 0.25, 0.5])
+
+
+def _doubling():
+    big = np.finfo(float).max
+    return BivariateOperator(
+        name="doubling", domain=Box([-big], [big]), evaluator=lambda x, y: 2.0 * x, range_in_domain=True
+    )
+
+
+# name: (TRACE_CAP, run, status, or None for any). Every scheme guarded and not, both non-finite
+# exits (each steps back to the pair evaluated last), and two thinned runs.
+_CAP = iteration_mod.TRACE_CAP
+MEMORY_RUNS = {
+    **{
+        f"{scheme}-guard_{guard}": (_CAP, lambda s=scheme, g=guard: _linear_run(s, g), None)
+        for scheme in iteration_mod.SCHEMES
+        for guard in (False, True)
+    },
+    "nonfinite_picard": (
+        _CAP,
+        lambda: picard_double(blowup(), [1e-300], [1e-300], cfg(PICARD_DOUBLE, tol=1e-300)),
+        DIVERGED_NONFINITE,
+    ),
+    "nonfinite_after_escape": (
+        _CAP,
+        lambda: krasnoselskij_double(undefined_outside(), [0.9], [0.8], cfg(KRASNOSELSKIJ_DOUBLE, theta=0.1)),
+        LEFT_DOMAIN,
+    ),
+    "thinned_nonfinite": (
+        50, lambda: picard_double(_doubling(), [1.0], [1.0], cfg(PICARD_DOUBLE, max_iter=5000)), DIVERGED_NONFINITE
+    ),
+    "thinned_relaxed": (
+        50,
+        lambda: krasnoselskij_diagonal(
+            get_operator("example_4_1"), [1.0], cfg(KRASNOSELSKIJ_DIAGONAL, theta=1e-5, max_iter=2000, tol=1e-300)
+        ),
+        MAX_ITER_REACHED,
+    ),
+}
+
+
+class TestRecordedPairsOwnTheirMemory:
+    @pytest.mark.parametrize("name", MEMORY_RUNS)
+    def test_no_entry_shares_memory_with_another(self, name, monkeypatch):
+        cap, run, status = MEMORY_RUNS[name]
+        monkeypatch.setattr(iteration_mod, "TRACE_CAP", cap)
+        trace = run()
+        assert status in (None, trace.status)
+        arrays = [(k, v) for k, pair in enumerate(trace.iterates) for v in pair]
+        shared = [
+            (k, m) for i, (k, u) in enumerate(arrays) for m, v in arrays[i + 1 :] if k != m and np.shares_memory(u, v)
+        ]
+        assert shared == []
+
+    @pytest.mark.parametrize("name", MEMORY_RUNS)
+    def test_writing_one_entry_leaves_the_others(self, name, monkeypatch):
+        cap, run, _ = MEMORY_RUNS[name]
+        monkeypatch.setattr(iteration_mod, "TRACE_CAP", cap)
+        trace = run()
+        before = [CoupledPair(pair.x.copy(), pair.y.copy()) for pair in trace.iterates]
+        for k, pair in enumerate(trace.iterates):
+            pair.x[...] = np.nan
+            assert [m for m, (p, q) in enumerate(zip(trace.iterates, before)) if p != q] == [k]
+            assert np.array_equal(pair.y, before[k].y)
+            pair.x[...] = before[k].x
+
+
 class TestFejerMonotonicity:
     def test_averaging_map_strict_decay(self):
         f = get_operator("example_4_1")

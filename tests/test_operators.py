@@ -116,6 +116,67 @@ class TestEval:
         assert np.array_equal(a, b)
 
 
+def _operator(name):
+    if name != "plane":
+        return get_operator(name)
+    return make_linear_operator(0.1 * np.eye(2), 0.1 * np.eye(2), [0.0, 0.0], Box([-1.0, -1.0], [1.0, 1.0]))
+
+
+# eval coerces both arguments as one array; whatever that cannot take is coerced
+# one argument at a time, so each message is the one the argument alone gives.
+_RAGGED = (
+    "setting an array element with a sequence. The requested array has an inhomogeneous shape "
+    "after 1 dimensions. The detected shape was (2,) + inhomogeneous part."
+)
+EVAL_MESSAGES = {
+    "nan_only_in_y": ("example_2_1", [0.5], [np.nan], "y has non-finite coordinates"),
+    "inf_only_in_y": ("example_2_1", [0.5], [-np.inf], "y has non-finite coordinates"),
+    "int_past_floats_only_in_y": ("example_2_1", [0.5], [10**400], "y has non-finite coordinates"),
+    "scalar_int_past_floats_in_y": ("example_2_1", 0.5, 10**400, "y has non-finite coordinates"),
+    "none_as_x": ("example_2_1", None, [0.5], "x has non-finite coordinates"),
+    "shapes_2_and_3": (
+        "plane", [0.1, 0.2], [0.1, 0.2, 0.3], "operator 'linear' has dimension 2, got arguments of dimension 2 and 3"
+    ),
+    "ragged_x": ("plane", [[0.1, 0.2], [0.3]], [[0.1, 0.2], [0.3, 0.4]], _RAGGED),
+    "ragged_y": ("plane", [0.1, 0.2], [[0.1], 0.2], _RAGGED),
+    "string_x": ("example_2_1", ["a"], [0.5], "could not convert string to float: 'a'"),
+    "string_y": ("example_2_1", [0.5], "abc", "could not convert string to float: 'abc'"),
+    "rows_3_and_4": ("plane", np.zeros((3, 2)), np.zeros((4, 2)), "operator 'linear' got 3 and 4 rows"),
+    "block_and_vector": (
+        "plane", np.zeros((3, 2)), np.zeros(2), "y must be a block of rows (n, d) of reals, got shape (2,)"
+    ),
+    "vector_and_block": (
+        "plane", np.zeros(2), np.zeros((3, 2)), "y must be a 1-D sequence of reals, got shape (3, 2)"
+    ),
+}
+
+
+class TestEvalCoercion:
+    @pytest.mark.parametrize("case", EVAL_MESSAGES)
+    def test_message_is_the_one_the_argument_alone_gives(self, case):
+        name, x, y, message = EVAL_MESSAGES[case]
+        with pytest.raises(ValueError) as info:
+            _operator(name).eval(x, y)
+        assert str(info.value) == message
+
+    def test_scalar_pair_is_a_vector_of_one(self):
+        f = get_operator("example_2_1")
+        out = f.eval(0.5, np.float64(0.25))
+        assert out.shape == (1,)
+        assert np.array_equal(out, f.eval([0.5], [0.25]))
+
+    def test_evaluator_gets_copies(self):
+        def scaling(x, y):
+            x *= 2.0  # an evaluator that writes into its arguments
+            y *= 2.0
+            return x - y
+
+        f = BivariateOperator(name="scaling", domain=Box([-1.0, -1.0], [1.0, 1.0]), evaluator=scaling)
+        x, y = np.array([0.5, -0.5]), np.array([0.25, 0.75])
+        assert f.eval(x, y).tolist() == [0.5, -2.5]
+        assert x.tolist() == [0.5, -0.5] and y.tolist() == [0.25, 0.75]
+
+
 class TestIsCoupledFixedPoint:
     def test_quadratic_unequal_pair(self):
         f = get_operator("example_2_2")

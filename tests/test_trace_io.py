@@ -373,6 +373,23 @@ class TestJsonRejectsWhatTheWriterCannotWrite:
         with pytest.raises(ValueError, match=f"^{key} must be "):
             trace_from_json(json.dumps({**_short_doc(), key: value}))
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ('"seed": 0', '"seed": {}', "seed must be an integer"),
+            ('"max_iter": 3', '"max_iter": {}', "max_iter must be an integer"),
+            ('"x": [1]', '"x": [{}]', r"iterates\[0\]: x and y must be arrays of numbers"),
+        ],
+    )
+    def test_integer_past_the_digit_limit_names_its_key(self, old, new, message):
+        # Python's int() refuses more than 4300 digits, and json.dumps cannot write
+        # such an integer either, so it goes into the writer's text by hand.
+        f = get_operator("example_4_1")
+        text = trace_to_json(krasnoselskij_diagonal(f, [1.0], SchemeConfig(KRASNOSELSKIJ_DIAGONAL, max_iter=3)))
+        assert old in text
+        with pytest.raises(ValueError, match=f"^{message}, got "):
+            trace_from_json(text.replace(old, new.format("9" * 5001), 1))
+
     def test_unknown_key_named(self):
         with pytest.raises(ValueError, match="^trace has an unknown key 'schema'$"):
             trace_from_json(json.dumps({**_short_doc(), "schema": 1}))
