@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -377,5 +378,12 @@ def report_to_dict(report: ContractivityReport) -> dict:
     }
 
 
+# A JSON string, or json.dumps's Infinity outside one: the spelling of an
+# infinite float (a ratio whose image distance overflowed), which is not JSON.
+_STRING_OR_INFINITY = re.compile(r'("(?:[^"\\]|\\.)*")|Infinity')
+
+
 def report_to_json(report: ContractivityReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2)
+    """The report as JSON; an infinite float is written ``1e999``, as a trace writes it."""
+    text = json.dumps(report_to_dict(report), indent=2)
+    return _STRING_OR_INFINITY.sub(lambda m: m.group(1) or "1e999", text)

@@ -34,9 +34,20 @@ with explicit step indices. Each run is inherently sequential; distinct
 runs share no mutable state and may execute concurrently.
 
 A run checks its inputs once, at entry. The loop then carries the pair as one
-(2, d) block (row 0 is x, row 1 is y), binds a new block each step and writes
-into none, so recorded pairs own their rows. It still calls ``eval`` twice a
-step, once per argument order: the benchmark's pins count two calls a step.
+(2, d) block ``z`` (row 0 is x, row 1 is y), whose two rows it reads once a
+step, for both evaluations and for the trace entry. A step:
+
+- calls ``eval`` twice, ``F(x, y)`` and ``F(y, x)``, and stacks the images
+  into a fresh block ``fz``: two calls a step, plus two at the final pair,
+  as the benchmark's pins count them;
+- takes the residual from the larger of the two squared row norms of
+  ``z - fz``, with one square root (the same bits as the larger root);
+- builds the next pair in a fresh block, ``zn = (1 - theta) * z`` and then
+  ``zn += theta * fz`` in place; Picard takes ``fz`` itself;
+- clamps ``zn`` into a new block when guarded, or else tests it for escape.
+
+Nothing writes into ``z`` or into a block a trace entry holds, so every
+recorded pair owns its rows.
 """
 
 from __future__ import annotations
@@ -47,7 +58,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .operators import BivariateOperator, CoupledPair, NonFiniteEvaluationError
-from .space import _as_number, _clamp, _norm, as_vector, project_box  # noqa: F401 (perfbench/tracing.py wraps it here)
+from .space import _as_number, _clamp, _count_nonzero, _max_row_norm, _norm, as_vector
+from .space import project_box  # noqa: F401 (perfbench/tracing.py wraps it here)
 
 __all__ = [
     "PICARD_DOUBLE",
@@ -197,7 +209,8 @@ def _is_two_cycle(z: np.ndarray, prev: np.ndarray, prev2: np.ndarray) -> bool:
     # and it keeps every difference, norm and scale below the float maximum:
     # each norm is at most s * 2 sqrt(d) * max <= max / sqrt(d).
     s = math.ldexp(1.0, -(2 * z.shape[1] - 1).bit_length())
-    (x, y), (qx, qy) = s * z, s * prev2
+    sz, sq = s * z, s * prev2
+    x, y, qx, qy = sz[0], sz[1], sq[0], sq[1]  # index reads: unpacking a block iterates it
     sx = s + _norm(x) + _norm(qx)
     sy = s + _norm(y) + _norm(qy)
     if _norm(x - qx) > _CYCLE_RTOL * sx or _norm(y - qy) > _CYCLE_RTOL * sy:
@@ -233,7 +246,6 @@ def _run_loop(
         raise ValueError(f"target has dimension {target_v.shape[0]}, operator expects {d}")
 
     guard = not f.range_in_domain or bool(cfg.guard_domain)
-    theta = cfg.theta
     box = f.domain
     escape_slack = 1e-12 * (1.0 + float(np.abs(np.concatenate([box.lower, box.upper])).max()))
     # The bounds Box.contains(v, slack=escape_slack) compares against; next
@@ -247,6 +259,13 @@ def _run_loop(
     iterates: list[CoupledPair] = []
     residuals: list[float] = []
     distances: list[float] | None = None if target_v is None else []
+    # Loop invariants, bound once.
+    evaluate = f.eval
+    picard = scheme == PICARD_DOUBLE
+    theta = cfg.theta
+    w = 1.0 - theta
+    tol, max_iter = cfg.tol, cfg.max_iter
+    keep_step, keep_pair, keep_residual = steps.append, iterates.append, residuals.append
     z = np.array((x, y))
     prev: np.ndarray | None = None
     prev2: np.ndarray | None = None
@@ -256,9 +275,9 @@ def _run_loop(
     n = 0
 
     while status is None:
-        x, y = z
+        x, y = z[0], z[1]  # index reads: unpacking a block iterates it
         try:
-            fz = np.array((f.eval(x, y), f.eval(y, x)))
+            fz = np.array((evaluate(x, y), evaluate(y, x)))
         except NonFiniteEvaluationError:
             if prev is None:
                 # Broken at the starting pair: nothing sane to trace.
@@ -269,32 +288,36 @@ def _run_loop(
             n, z = n - 1, prev  # the pair evaluated last: r is its residual
             if n % stride == 0:  # thinning already kept that pair
                 continue
+            x, y = z[0], z[1]
         else:
-            dz = z - fz
-            r = max(_norm(dz[0]), _norm(dz[1]))
+            r = _max_row_norm(z - fz)
             if escaped:
                 status = LEFT_DOMAIN
-            elif r <= cfg.tol:
+            elif r <= tol:
                 status = CONVERGED
-            elif scheme == PICARD_DOUBLE and prev2 is not None and _is_two_cycle(z, prev, prev2):
+            elif picard and prev2 is not None and _is_two_cycle(z, prev, prev2):
                 status, cycle = MAX_ITER_REACHED, True
-            elif n >= cfg.max_iter:
+            elif n >= max_iter:
                 status = MAX_ITER_REACHED
         if n % stride == 0 or status is not None:
-            steps.append(n)
-            iterates.append(CoupledPair._of(*z))
-            residuals.append(r)
+            keep_step(n)
+            keep_pair(CoupledPair._of(x, y))
+            keep_residual(r)
             if distances is not None:
-                dt = z - target_v
-                distances.append(max(_norm(dt[0]), _norm(dt[1])))
+                distances.append(_max_row_norm(z - target_v))
         if status is None:
             # No finiteness test: eval raises on a non-finite F, and for |a|, |b| <= the float
             # maximum and theta in (0, 1), |(1 - theta) * a + theta * b| rounds to at most it.
-            zn = fz if scheme == PICARD_DOUBLE else (1.0 - theta) * z + theta * fz
+            # zn is a fresh block (fz is one for Picard), so writing into it leaves z alone.
+            if picard:
+                zn = fz
+            else:
+                zn = w * z
+                zn += theta * fz
             if guard:
                 zn = _clamp(zn, box)
             else:  # zn is finite, so < is the negation of >=
-                escaped = bool(np.count_nonzero(zn < low) or np.count_nonzero(zn > high))
+                escaped = _count_nonzero(zn < low) or _count_nonzero(zn > high)
             prev2, prev = prev, z
             z = zn
             n += 1

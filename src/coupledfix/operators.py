@@ -37,7 +37,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .space import Box, _as_array, _as_number, as_vector, norm
+from .space import Box, _as_array, _as_number, _count_nonzero, as_vector, norm
 
 __all__ = [
     "NonFiniteEvaluationError",
@@ -136,14 +136,22 @@ class BivariateOperator:
         evaluator must return the shape of its arguments, (d,) or (n, d);
         any other shape raises ``OutputDimensionError``. Deterministic and
         side-effect free.
+
+        On the fast path, taken for any two finite arguments of one shape,
+        both are copied into one fresh stacked block, counted finite once,
+        and handed to the evaluator as the block's two rows, so it never
+        sees the caller's arrays. The output is counted finite once more.
+        The iteration engine calls this twice a step, once per argument
+        order.
         """
-        try:  # both arguments in one coercion and one finiteness scan
+        try:  # both arguments in one coercion and one finiteness count
             z = np.array((x, y), dtype=float)
-            fast = np.count_nonzero(np.isfinite(z)) == z.size
+            fast = _count_nonzero(np.isfinite(z)) == z.size
         except (TypeError, ValueError, OverflowError):  # ragged or unequal shapes, a string, an int past floats
             fast = False
-        # Off the fast path each argument is coerced alone, so a message names the one at fault.
-        xv, yv = z if fast else (_as_array(x, "x"), _as_array(y, "y"))
+        # Two index reads, as unpacking the block would iterate it. Off the fast
+        # path each argument is coerced alone, so a message names the one at fault.
+        xv, yv = (z[0], z[1]) if fast else (_as_array(x, "x"), _as_array(y, "y"))
         d = self.domain.lower.shape[0]  # self.dim, read without two property calls
         if not 1 <= xv.ndim <= 2 or xv.shape != yv.shape or xv.shape[-1] != d or not xv.size:
             # Off the fast path: a block when x has two axes, else a vector, into
@@ -164,7 +172,7 @@ class BivariateOperator:
         out = np.asarray(self.evaluator(xv, yv), dtype=float)
         if out.shape != xv.shape:
             raise OutputDimensionError(f"operator {self.name!r} returned shape {out.shape}, expected {xv.shape}")
-        if np.count_nonzero(np.isfinite(out)) != out.size:
+        if _count_nonzero(np.isfinite(out)) != out.size:
             raise NonFiniteEvaluationError(f"operator {self.name!r} returned non-finite output")
         return out
 

@@ -14,6 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# count_nonzero without np.count_nonzero's Python wrapper: on a 2-CPU Xeon VM
+# (Python 3.11, numpy 2.4) a count of 2 to 200 flags takes about 0.1 us this
+# way and 0.33 us through the wrapper, and an unguarded engine step counts six times.
+try:
+    from numpy._core.multiarray import count_nonzero as _count_nonzero
+except ImportError:  # pragma: no cover - a numpy that moved it
+    _count_nonzero = np.count_nonzero
+
 __all__ = [
     "as_vector",
     "inner",
@@ -31,7 +39,7 @@ def _as_array(value, name: str) -> np.ndarray:
         arr = np.array(value, dtype=float)
     except OverflowError:  # an int past the float range
         raise ValueError(f"{name} has non-finite coordinates") from None
-    if np.count_nonzero(np.isfinite(arr)) != arr.size:  # one C call; .all() goes through Python
+    if _count_nonzero(np.isfinite(arr)) != arr.size:  # one C call; .all() goes through Python
         raise ValueError(f"{name} has non-finite coordinates")
     return arr
 
@@ -68,7 +76,7 @@ def _require_same_dim(a: np.ndarray, b: np.ndarray, what: str) -> None:
 def inner(x, y) -> float:
     """Euclidean inner product of two vectors of equal dimension."""
     xv = as_vector(x, "x")
-    yv = as_vector(y, "y")
+    yv = xv if y is x else as_vector(y, "y")
     _require_same_dim(xv, yv, "inner")
     return float(np.dot(xv, yv))
 
@@ -83,6 +91,16 @@ def _norm(v: np.ndarray) -> float:
             return math.inf
         w = v / scale
         return scale * math.sqrt(float(np.dot(w, w)))
+    return math.sqrt(sq)
+
+
+def _max_row_norm(v: np.ndarray) -> float:
+    """``max(_norm(v[0]), _norm(v[1]))`` of a (2, d) block, bit for bit, with one square root:
+    sqrt is monotone and correctly rounded, so the root of the larger square is the larger root."""
+    sx, sy = np.vecdot(v, v).tolist()
+    sq = sx if sx >= sy else sy
+    if sq == math.inf:  # a square overflowed: _norm scales
+        return max(_norm(v[0]), _norm(v[1]))
     return math.sqrt(sq)
 
 

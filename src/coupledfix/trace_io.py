@@ -31,7 +31,8 @@ raises a ``ValueError`` naming the key for anything else:
   ``y`` that is not an array of finite numbers, or iterates of different
   dimensions;
 - a residual or distance that is not a number >= 0 (a string, a boolean,
-  NaN or a negative number; ``1e999`` is inf and allowed);
+  NaN or a negative number), or that overflows a float but is not spelt
+  ``1e999`` (such as ``1e400``), which the writer would rewrite;
 - ``NaN``, ``Infinity`` and ``-Infinity``, which ``json`` alone reads as
   floats, and integers past ``int``'s 4300 digits, wherever they stand.
 
@@ -137,6 +138,17 @@ def _int(text: str):
 _DECODER = json.JSONDecoder(parse_int=_int, parse_constant=_Token)
 
 
+def _float(text: str):
+    # A decimal that overflows a float is a token unless it is the writer's own 1e999.
+    v = float(text)
+    return _Token(text) if math.isinf(v) and text != "1e999" else v
+
+
+# _DECODER plus that rule, for the rare trace that holds an infinite norm: a
+# parse_float hook on every float would slow every read.
+_INF_DECODER = json.JSONDecoder(parse_int=_int, parse_constant=_Token, parse_float=_float)
+
+
 def trace_to_json(trace: IterationTrace) -> str:
     return "{\n" + ",\n".join(f'  "{key}": {write(trace)}' for key, (write, _) in _KEYS.items()) + "\n}\n"
 
@@ -191,11 +203,13 @@ def trace_from_json(text: str) -> IterationTrace:
         steps.append(n)
         iterates.append(pair)
     # Each list is walked on its own; the constructor compares the lengths.
-    norms = {
-        key: [_norm_value(key, k, v) for k, v in enumerate(doc[key])]
-        for key in ("residuals", "distances")
-        if doc[key] is not None
-    }
+    norms = {}
+    for key in ("residuals", "distances"):
+        if doc[key] is not None:
+            values = [_norm_value(key, k, v) for k, v in enumerate(doc[key])]
+            if math.inf in values:  # written 1e999, or an overflowing literal the writer never writes
+                values = [_norm_value(key, k, v) for k, v in enumerate(_INF_DECODER.decode(text)[key])]
+            norms[key] = values
     return IterationTrace(
         step_indices=steps,
         iterates=iterates,

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import signal
+from math import inf
 
 import numpy as np
 import pytest
@@ -328,6 +329,34 @@ class TestReportSerialization:
         f = get_operator("example_4_1")
         report = analyze_operator(f, 200, seed=0)
         assert json.loads(report_to_json(report)) == report_to_dict(report)
+
+    @staticmethod
+    def _strict_load(text):
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        return json.loads(text, parse_constant=refuse)
+
+    def test_overflowing_images_write_json(self):
+        # Images 1e308 apart overflow df, so some ratios are inf; JSON spells none of them Infinity.
+        f = make_linear_operator([[1e308]], [[0.0]], [0.0], Box([-1.0], [1.0]))
+        report = analyze_operator(f, 50, 1)
+        ratios = [w.ratio for w in report.violations]
+        assert inf in ratios
+        doc = self._strict_load(report_to_json(report))
+        assert [w["ratio"] for w in doc["witnesses"]] == ratios
+        assert '"ratio": 1e999' in report_to_json(report)
+
+    def test_infinity_inside_a_string_is_kept(self):
+        f = get_operator("example_2_2")
+        report = analyze_operator(f, 50, 1)
+        name = 'Infinity -Infinity "Infinity" \\Infinity'
+        report.operator_name = name
+        report.violations[0].ratio = inf
+        text = report_to_json(report)
+        assert self._strict_load(text)["operator"] == name
+        assert json.dumps(name) in text
+        assert self._strict_load(text)["witnesses"][0]["ratio"] == inf
 
 
 class TestDrawQuadruples:

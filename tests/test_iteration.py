@@ -521,8 +521,9 @@ class TestTraceMechanics:
 def _linear_run(scheme, guard):
     f = random_linear_operator(np.random.default_rng(7), d=3)
     xbar = f.known_coupled_fixed_points[0].x
+    x0, y0 = xbar + [0.5, -0.5, 1.0], xbar - [1.0, 0.25, 0.5]
     c = cfg(scheme, theta=0.4, tol=1e-300, max_iter=40, guard_domain=guard)
-    return run_scheme(f, c, xbar + [0.5, -0.5, 1.0], xbar - [1.0, 0.25, 0.5])
+    return run_scheme(f, c, x0, y0), (x0, y0)
 
 
 def _doubling():
@@ -532,8 +533,31 @@ def _doubling():
     )
 
 
-# name: (TRACE_CAP, run, status, or None for any). Every scheme guarded and not, both non-finite
-# exits (each steps back to the pair evaluated last), and two thinned runs.
+def _counted_run(scheme, guard, tol, max_iter):
+    # A run of a linear operator whose evaluator counts its calls, from arrays
+    # the caller keeps: x0, y0 and the target.
+    base = random_linear_operator(np.random.default_rng(11), d=3)
+    calls = []
+
+    def counting(x, y):
+        calls.append(1)
+        return base.evaluator(x, y)
+
+    f = dataclasses.replace(base, evaluator=counting)
+    xbar = f.known_coupled_fixed_points[0].x
+    x0, y0 = xbar + [0.5, -0.5, 1.0], xbar - [1.0, 0.25, 0.5]
+    c = cfg(scheme, theta=0.4, tol=tol, max_iter=max_iter, guard_domain=guard)
+    trace = run_scheme(f, c, x0, None if scheme == KRASNOSELSKIJ_DIAGONAL else y0, target=xbar)
+    return trace, len(calls), (x0, y0, xbar)
+
+
+# Converged, and stopped by max_iter while still moving.
+_COUNTED_STOPS = {CONVERGED: dict(tol=1e-9, max_iter=1000), MAX_ITER_REACHED: dict(tol=1e-300, max_iter=12)}
+
+
+# name: (TRACE_CAP, run, status, or None for any); run returns the trace and the arrays its
+# caller keeps. Every scheme guarded and not, converged and stopped by max_iter, both
+# non-finite exits (each steps back to the pair evaluated last), and two thinned runs.
 _CAP = iteration_mod.TRACE_CAP
 MEMORY_RUNS = {
     **{
@@ -541,23 +565,38 @@ MEMORY_RUNS = {
         for scheme in iteration_mod.SCHEMES
         for guard in (False, True)
     },
+    **{
+        f"{scheme}-guard_{guard}-{status}": (
+            _CAP,
+            lambda s=scheme, g=guard, st=status: _counted_run(s, g, **_COUNTED_STOPS[st])[::2],
+            status,
+        )
+        for scheme in iteration_mod.SCHEMES
+        for guard in (False, True)
+        for status in sorted(_COUNTED_STOPS)
+    },
     "nonfinite_picard": (
         _CAP,
-        lambda: picard_double(blowup(), [1e-300], [1e-300], cfg(PICARD_DOUBLE, tol=1e-300)),
+        lambda: (picard_double(blowup(), [1e-300], [1e-300], cfg(PICARD_DOUBLE, tol=1e-300)), ()),
         DIVERGED_NONFINITE,
     ),
     "nonfinite_after_escape": (
         _CAP,
-        lambda: krasnoselskij_double(undefined_outside(), [0.9], [0.8], cfg(KRASNOSELSKIJ_DOUBLE, theta=0.1)),
+        lambda: (krasnoselskij_double(undefined_outside(), [0.9], [0.8], cfg(KRASNOSELSKIJ_DOUBLE, theta=0.1)), ()),
         LEFT_DOMAIN,
     ),
     "thinned_nonfinite": (
-        50, lambda: picard_double(_doubling(), [1.0], [1.0], cfg(PICARD_DOUBLE, max_iter=5000)), DIVERGED_NONFINITE
+        50,
+        lambda: (picard_double(_doubling(), [1.0], [1.0], cfg(PICARD_DOUBLE, max_iter=5000)), ()),
+        DIVERGED_NONFINITE,
     ),
     "thinned_relaxed": (
         50,
-        lambda: krasnoselskij_diagonal(
-            get_operator("example_4_1"), [1.0], cfg(KRASNOSELSKIJ_DIAGONAL, theta=1e-5, max_iter=2000, tol=1e-300)
+        lambda: (
+            krasnoselskij_diagonal(
+                get_operator("example_4_1"), [1.0], cfg(KRASNOSELSKIJ_DIAGONAL, theta=1e-5, max_iter=2000, tol=1e-300)
+            ),
+            (),
         ),
         MAX_ITER_REACHED,
     ),
@@ -569,25 +608,39 @@ class TestRecordedPairsOwnTheirMemory:
     def test_no_entry_shares_memory_with_another(self, name, monkeypatch):
         cap, run, status = MEMORY_RUNS[name]
         monkeypatch.setattr(iteration_mod, "TRACE_CAP", cap)
-        trace = run()
+        trace, kept = run()
         assert status in (None, trace.status)
         arrays = [(k, v) for k, pair in enumerate(trace.iterates) for v in pair]
         shared = [
             (k, m) for i, (k, u) in enumerate(arrays) for m, v in arrays[i + 1 :] if k != m and np.shares_memory(u, v)
         ]
         assert shared == []
+        # Nor with an array the caller passed in: x0, y0 or the target.
+        assert [k for k, v in arrays if any(np.shares_memory(v, w) for w in kept)] == []
 
     @pytest.mark.parametrize("name", MEMORY_RUNS)
     def test_writing_one_entry_leaves_the_others(self, name, monkeypatch):
         cap, run, _ = MEMORY_RUNS[name]
         monkeypatch.setattr(iteration_mod, "TRACE_CAP", cap)
-        trace = run()
+        trace, _ = run()
         before = [CoupledPair(pair.x.copy(), pair.y.copy()) for pair in trace.iterates]
         for k, pair in enumerate(trace.iterates):
             pair.x[...] = np.nan
             assert [m for m, (p, q) in enumerate(zip(trace.iterates, before)) if p != q] == [k]
             assert np.array_equal(pair.y, before[k].y)
             pair.x[...] = before[k].x
+
+
+class TestEngineEvaluationsAndOwnership:
+    # The benchmark's evals_per_step pin counts two evaluations a step. (The
+    # same runs are in MEMORY_RUNS, which guards the in-place update.)
+    @pytest.mark.parametrize("status", sorted(_COUNTED_STOPS))
+    @pytest.mark.parametrize("guard", [False, True])
+    @pytest.mark.parametrize("scheme", iteration_mod.SCHEMES)
+    def test_two_evaluations_a_step_plus_two_at_the_final_pair(self, scheme, guard, status):
+        trace, calls, _ = _counted_run(scheme, guard, **_COUNTED_STOPS[status])
+        assert trace.status == status
+        assert calls == 2 * (trace.n_steps + 1)
 
 
 class TestFejerMonotonicity:

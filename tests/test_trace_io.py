@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -354,6 +355,26 @@ class TestJsonRejectsWhatTheWriterCannotWrite:
         doc[key][2] = value
         with pytest.raises(ValueError, match=rf"^{key}\[2\] must be a number >= 0"):
             trace_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["residuals", "distances"])
+    @pytest.mark.parametrize("literal", ["1e400", "1E999", "1e+999", "1.0e999", "10e998", "2e308"])
+    def test_overflowing_literal_other_than_1e999_names_its_key(self, key, literal):
+        # Each reads as inf, but the writer spells inf 1e999 only, so the rewrite would differ.
+        doc = _short_doc()
+        doc[key][2] = "INF"
+        text = json.dumps(doc).replace('"INF"', literal)
+        with pytest.raises(ValueError, match=rf"^{key}\[2\] must be a number >= 0, got {re.escape(literal)}$"):
+            trace_from_json(text)
+
+    @pytest.mark.parametrize("key", ["residuals", "distances"])
+    def test_writers_1e999_reads_back_as_inf(self, key):
+        doc = _short_doc()
+        doc[key][2] = "INF"
+        text = json.dumps(doc).replace('"INF"', "1e999")
+        trace = trace_from_json(text)
+        values = trace.residuals if key == "residuals" else trace.distances_to_target
+        assert values[2] == math.inf
+        assert json.loads(trace_to_json(trace))[key][2] == math.inf
 
     @pytest.mark.parametrize("key", ["iterates", "residuals", "distances"])
     def test_lists_are_json_arrays(self, key):
