@@ -39,9 +39,16 @@ step, for both evaluations and for the trace entry. A step:
 
 - calls ``eval`` twice, ``F(x, y)`` and ``F(y, x)``, and stacks the images
   into a fresh block ``fz``: two calls a step, plus two at the final pair,
-  as the benchmark's pins count them;
+  as the benchmark's pins count them. Both calls take ``eval``'s checked
+  entry, which copies the rows but does not check them again: they are
+  finite rows of shape (d,), since the starting pair was checked at entry
+  and each later pair is a relaxed combination of finite rows, a clamp, or
+  images ``eval`` counted finite. The images are still checked;
 - takes the residual from the larger of the two squared row norms of
   ``z - fz``, with one square root (the same bits as the larger root);
+- for Picard, scales ``z`` once for the 2-cycle test, which reads the
+  scaled pairs of the last three steps and takes their six norms from one
+  stacked block;
 - builds the next pair in a fresh block, ``zn = (1 - theta) * z`` and then
   ``zn += theta * fz`` in place; Picard takes ``fz`` itself;
 - clamps ``zn`` into a new block when guarded, or else tests it for escape.
@@ -58,7 +65,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .operators import BivariateOperator, CoupledPair, NonFiniteEvaluationError
-from .space import _as_number, _clamp, _count_nonzero, _max_row_norm, _norm, as_vector
+from .space import _as_number, _clamp, _count_nonzero, _max_row_norm, _row_norms, as_vector
 from .space import project_box  # noqa: F401 (perfbench/tracing.py wraps it here)
 
 __all__ = [
@@ -199,24 +206,24 @@ class IterationTrace:
         return self.step_indices[-1]
 
 
-def _is_two_cycle(z: np.ndarray, prev: np.ndarray, prev2: np.ndarray) -> bool:
-    # Pairs are (2, d) blocks. Period-2 orbit: the pair two steps back coincides
-    # to rounding scale, AND the intermediate step was macroscopic. Without the
-    # amplitude requirement, any converging sequence eventually satisfies the
-    # first condition (all late iterates are near the limit). Every vector is
-    # first scaled by the power of two s = 2**-k with 2**k >= 2d (s = 1/2 at
-    # d = 1). That is exact away from subnormals, so no decision changes,
-    # and it keeps every difference, norm and scale below the float maximum:
-    # each norm is at most s * 2 sqrt(d) * max <= max / sqrt(d).
-    s = math.ldexp(1.0, -(2 * z.shape[1] - 1).bit_length())
-    sz, sq = s * z, s * prev2
-    x, y, qx, qy = sz[0], sz[1], sq[0], sq[1]  # index reads: unpacking a block iterates it
-    sx = s + _norm(x) + _norm(qx)
-    sy = s + _norm(y) + _norm(qy)
-    if _norm(x - qx) > _CYCLE_RTOL * sx or _norm(y - qy) > _CYCLE_RTOL * sy:
+def _is_two_cycle(sz: np.ndarray, sprev: np.ndarray, sprev2: np.ndarray, s: float) -> bool:
+    # The pairs at steps n, n - 1 and n - 2 as (2, d) blocks, each scaled once,
+    # by the power of two s = 2**-k with 2**k >= 2d (s = 1/2 at d = 1). Period-2
+    # orbit: the pair two steps back coincides to rounding scale, AND the
+    # intermediate step was macroscopic. Without the amplitude requirement, any
+    # converging sequence eventually satisfies the first condition (all late
+    # iterates are near the limit). Scaling by s is exact away from subnormals,
+    # so no decision changes, and it keeps every difference, norm and scale
+    # below the float maximum: each norm is at most s * 2 sqrt(d) * max <= max / sqrt(d).
+    block = np.concatenate((sz, sprev2, sz - sprev2))
+    sq = np.vecdot(block, block).tolist()
+    # The root of each square is _norm's value; an overflowed square needs _norm's scaling.
+    nx, ny, nqx, nqy, ndx, ndy = _row_norms(block).tolist() if math.inf in sq else map(math.sqrt, sq)
+    sx = s + nx + nqx
+    sy = s + ny + nqy
+    if ndx > _CYCLE_RTOL * sx or ndy > _CYCLE_RTOL * sy:
         return False
-    amplitude = max(_norm(s * prev[0] - qx), _norm(s * prev[1] - qy))
-    return amplitude > _CYCLE_MIN_AMPLITUDE * max(sx, sy)
+    return _max_row_norm(sprev - sprev2) > _CYCLE_MIN_AMPLITUDE * max(sx, sy)
 
 
 # Every overflow in a run ends in a status or in _norm's finite fallback, so
@@ -268,7 +275,9 @@ def _run_loop(
     keep_step, keep_pair, keep_residual = steps.append, iterates.append, residuals.append
     z = np.array((x, y))
     prev: np.ndarray | None = None
-    prev2: np.ndarray | None = None
+    # Picard's 2-cycle test reads the pairs it saw last, each scaled once: see _is_two_cycle.
+    s = math.ldexp(1.0, -(2 * d - 1).bit_length())
+    sz = sprev = sprev2 = None
     cycle = False
     escaped = False
     status = None
@@ -277,7 +286,7 @@ def _run_loop(
     while status is None:
         x, y = z[0], z[1]  # index reads: unpacking a block iterates it
         try:
-            fz = np.array((evaluate(x, y), evaluate(y, x)))
+            fz = np.array((evaluate(x, y, _checked=True), evaluate(y, x, _checked=True)))
         except NonFiniteEvaluationError:
             if prev is None:
                 # Broken at the starting pair: nothing sane to trace.
@@ -291,11 +300,13 @@ def _run_loop(
             x, y = z[0], z[1]
         else:
             r = _max_row_norm(z - fz)
+            if picard:
+                sz = s * z
             if escaped:
                 status = LEFT_DOMAIN
             elif r <= tol:
                 status = CONVERGED
-            elif picard and prev2 is not None and _is_two_cycle(z, prev, prev2):
+            elif picard and sprev2 is not None and _is_two_cycle(sz, sprev, sprev2, s):
                 status, cycle = MAX_ITER_REACHED, True
             elif n >= max_iter:
                 status = MAX_ITER_REACHED
@@ -318,7 +329,8 @@ def _run_loop(
                 zn = _clamp(zn, box)
             else:  # zn is finite, so < is the negation of >=
                 escaped = _count_nonzero(zn < low) or _count_nonzero(zn > high)
-            prev2, prev = prev, z
+            prev = z
+            sprev2, sprev = sprev, sz
             z = zn
             n += 1
 

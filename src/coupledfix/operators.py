@@ -127,7 +127,7 @@ class BivariateOperator:
     def dim(self) -> int:
         return self.domain.dim
 
-    def eval(self, x, y) -> np.ndarray:
+    def eval(self, x, y, *, _checked: bool = False) -> np.ndarray:
         """Evaluate F at one pair of vectors, or row by row at a block of pairs.
 
         ``x`` and ``y`` are both vectors of shape (d,), or both arrays of
@@ -141,34 +141,45 @@ class BivariateOperator:
         both are copied into one fresh stacked block, counted finite once,
         and handed to the evaluator as the block's two rows, so it never
         sees the caller's arrays. The output is counted finite once more.
-        The iteration engine calls this twice a step, once per argument
-        order.
+
+        ``_checked`` is the iteration engine's entry, which it takes twice a
+        step, once per argument order: the engine vouches that ``x`` and
+        ``y`` are finite float64 rows of shape (d,). It checked its starting
+        pair at entry, and every later row is a relaxed combination of
+        finite rows, a clamp, or an image this method has counted finite.
+        The rows are still copied into a fresh block, and the output gets
+        the same checks; only the input's finiteness count and shape checks
+        are skipped.
         """
-        try:  # both arguments in one coercion and one finiteness count
-            z = np.array((x, y), dtype=float)
-            fast = _count_nonzero(np.isfinite(z)) == z.size
-        except (TypeError, ValueError, OverflowError):  # ragged or unequal shapes, a string, an int past floats
-            fast = False
-        # Two index reads, as unpacking the block would iterate it. Off the fast
-        # path each argument is coerced alone, so a message names the one at fault.
-        xv, yv = (z[0], z[1]) if fast else (_as_array(x, "x"), _as_array(y, "y"))
-        d = self.domain.lower.shape[0]  # self.dim, read without two property calls
-        if not 1 <= xv.ndim <= 2 or xv.shape != yv.shape or xv.shape[-1] != d or not xv.size:
-            # Off the fast path: a block when x has two axes, else a vector, into
-            # which a 0-d scalar turns; any other shape is named.
-            block = xv.ndim == 2
-            xv, yv = (v if block else v.reshape(v.shape or (1,)) for v in (xv, yv))
-            for name, v in (("x", xv), ("y", yv)):
-                if v.ndim != 1 + block or not v.size:
-                    rule = "a block of rows (n, d)" if block else "a 1-D sequence"
-                    raise ValueError(f"{name} must be {rule} of reals, got shape {v.shape}")
-            if block and xv.shape[0] != yv.shape[0]:
-                raise ValueError(f"operator {self.name!r} got {xv.shape[0]} and {yv.shape[0]} rows")
-            dx, dy = xv.shape[-1], yv.shape[-1]
-            if dx != d or dy != d:
-                raise ValueError(
-                    f"operator {self.name!r} has dimension {d}, got arguments of dimension {dx} and {dy}"
-                )
+        if _checked:
+            z = np.array((x, y))  # a fresh block all the same: the evaluator may write into it
+            xv, yv = z[0], z[1]
+        else:
+            try:  # both arguments in one coercion and one finiteness count
+                z = np.array((x, y), dtype=float)
+                fast = _count_nonzero(np.isfinite(z)) == z.size
+            except (TypeError, ValueError, OverflowError):  # ragged or unequal shapes, a string, an int past floats
+                fast = False
+            # Two index reads, as unpacking the block would iterate it. Off the fast
+            # path each argument is coerced alone, so a message names the one at fault.
+            xv, yv = (z[0], z[1]) if fast else (_as_array(x, "x"), _as_array(y, "y"))
+            d = self.domain.lower.shape[0]  # self.dim, read without two property calls
+            if not 1 <= xv.ndim <= 2 or xv.shape != yv.shape or xv.shape[-1] != d or not xv.size:
+                # Off the fast path: a block when x has two axes, else a vector, into
+                # which a 0-d scalar turns; any other shape is named.
+                block = xv.ndim == 2
+                xv, yv = (v if block else v.reshape(v.shape or (1,)) for v in (xv, yv))
+                for name, v in (("x", xv), ("y", yv)):
+                    if v.ndim != 1 + block or not v.size:
+                        rule = "a block of rows (n, d)" if block else "a 1-D sequence"
+                        raise ValueError(f"{name} must be {rule} of reals, got shape {v.shape}")
+                if block and xv.shape[0] != yv.shape[0]:
+                    raise ValueError(f"operator {self.name!r} got {xv.shape[0]} and {yv.shape[0]} rows")
+                dx, dy = xv.shape[-1], yv.shape[-1]
+                if dx != d or dy != d:
+                    raise ValueError(
+                        f"operator {self.name!r} has dimension {d}, got arguments of dimension {dx} and {dy}"
+                    )
         out = np.asarray(self.evaluator(xv, yv), dtype=float)
         if out.shape != xv.shape:
             raise OutputDimensionError(f"operator {self.name!r} returned shape {out.shape}, expected {xv.shape}")

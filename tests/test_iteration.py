@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -380,7 +381,11 @@ class TestDomainHandling:
             evaluator=lambda x, y: 0.5 * x if abs(x[0]) > 0.1 else np.zeros(2),
             range_in_domain=True,
         )
-        with pytest.raises(OutputDimensionError):
+        # The message public eval gives at the pair the run reaches at step 4.
+        message = "^" + re.escape("operator 'shrinking' returned shape (2,), expected (1,)") + "$"
+        with pytest.raises(OutputDimensionError, match=message):
+            f.eval([0.0625], [0.0625])
+        with pytest.raises(OutputDimensionError, match=message):
             picard_double(f, [1.0], [1.0], cfg(PICARD_DOUBLE, max_iter=50))
 
     def test_nonfinite_step_diverges(self):
@@ -399,8 +404,12 @@ class TestDomainHandling:
             assert np.isfinite(pair.x).all()
 
     def test_nonfinite_evaluation_at_the_start_propagates(self):
-        # No pair was evaluated before, so there is nothing to end the trace on.
-        with pytest.raises(NonFiniteEvaluationError):
+        # No pair was evaluated before, so there is nothing to end the trace on. The
+        # message is the one public eval gives at the starting pair.
+        message = "^" + re.escape("operator 'blowup' returned non-finite output") + "$"
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteEvaluationError, match=message):
+            blowup().eval([1e100], [1e100])
+        with pytest.raises(NonFiniteEvaluationError, match=message):
             krasnoselskij_diagonal(blowup(), [1e100], cfg(KRASNOSELSKIJ_DIAGONAL, theta=0.9, max_iter=50))
 
 
@@ -641,6 +650,40 @@ class TestEngineEvaluationsAndOwnership:
         trace, calls, _ = _counted_run(scheme, guard, **_COUNTED_STOPS[status])
         assert trace.status == status
         assert calls == 2 * (trace.n_steps + 1)
+
+
+def _quarter_difference(writes: bool) -> BivariateOperator:
+    # F(x, y) = (x - y) / 4 on [-1, 1]^2. The writing form doubles its arguments in
+    # place first, as test_evaluator_gets_copies's does; its images have the same bits.
+    def writing(x, y):
+        x *= 2.0
+        y *= 2.0
+        return (x - y) / 8.0
+
+    return BivariateOperator(
+        name="quarter_difference",
+        domain=Box([-1.0, -1.0], [1.0, 1.0]),
+        evaluator=writing if writes else lambda x, y: (x - y) / 4.0,
+        range_in_domain=True,
+    )
+
+
+class TestEvaluatorWritingIntoItsArguments:
+    @pytest.mark.parametrize("guard", [False, True])
+    @pytest.mark.parametrize("scheme", iteration_mod.SCHEMES)
+    def test_cannot_change_the_trace(self, scheme, guard):
+        x0, y0 = np.array([0.75, -0.5]), np.array([-0.25, 0.625])
+        c = cfg(scheme, theta=0.4, tol=1e-300, max_iter=25, guard_domain=guard)
+        runs = [
+            run_scheme(_quarter_difference(writes), c, x0, None if scheme == KRASNOSELSKIJ_DIAGONAL else y0)
+            for writes in (False, True)
+        ]
+        pure, written = runs
+        assert (pure.status, pure.n_steps) == (MAX_ITER_REACHED, 25)
+        assert written == pure
+        hexes = [[v.hex() for v in (*t.final_pair.x.tolist(), *t.final_pair.y.tolist())] for t in runs]
+        assert hexes[1] == hexes[0]
+        assert x0.tolist() == [0.75, -0.5] and y0.tolist() == [-0.25, 0.625]
 
 
 class TestFejerMonotonicity:
