@@ -74,13 +74,9 @@ class CoupledPair:
     y: np.ndarray
 
     def __post_init__(self) -> None:
-        self.x = _as_array(self.x, "x")
-        self.y = _as_array(self.y, "y")
-        if self.x.ndim != 1 or self.x.shape != self.y.shape or not self.x.size:
-            # Off the fast path: as_vector turns a scalar into shape (1,) and names any other shape.
-            self.x, self.y = as_vector(self.x, "x"), as_vector(self.y, "y")
-            if self.x.shape != self.y.shape:
-                raise ValueError(f"pair components differ in dimension: {self.x.shape[0]} vs {self.y.shape[0]}")
+        self.x, self.y = as_vector(self.x, "x"), as_vector(self.y, "y")
+        if self.x.shape != self.y.shape:
+            raise ValueError(f"pair components differ in dimension: {self.x.shape[0]} vs {self.y.shape[0]}")
 
     @classmethod
     def _of(cls, x: np.ndarray, y: np.ndarray) -> CoupledPair:
@@ -132,54 +128,40 @@ class BivariateOperator:
 
         ``x`` and ``y`` are both vectors of shape (d,), or both arrays of
         shape (n, d) whose rows are evaluated as n separate pairs; the number
-        of axes of ``x`` decides which, and one rule checks both. The
-        evaluator must return the shape of its arguments, (d,) or (n, d);
-        any other shape raises ``OutputDimensionError``. Deterministic and
-        side-effect free.
-
-        On the fast path, taken for any two finite arguments of one shape,
-        both are copied into one fresh stacked block, counted finite once,
-        and handed to the evaluator as the block's two rows, so it never
-        sees the caller's arrays. The output is counted finite once more.
+        of axes of ``x`` decides which, and one rule checks both. Each
+        argument is coerced alone, so a message names the one at fault. The
+        evaluator gets both rows copied into one fresh block, so it never
+        sees the caller's arrays, and must return the shape of its
+        arguments, (d,) or (n, d); any other shape raises
+        ``OutputDimensionError``. Deterministic and side-effect free.
 
         ``_checked`` is the iteration engine's entry, which it takes twice a
         step, once per argument order: the engine vouches that ``x`` and
         ``y`` are finite float64 rows of shape (d,). It checked its starting
         pair at entry, and every later row is a relaxed combination of
         finite rows, a clamp, or an image this method has counted finite.
-        The rows are still copied into a fresh block, and the output gets
-        the same checks; only the input's finiteness count and shape checks
-        are skipped.
+        Only the input checks are skipped: the copy, the evaluator and the
+        output checks are the same.
         """
-        if _checked:
-            z = np.array((x, y))  # a fresh block all the same: the evaluator may write into it
-            xv, yv = z[0], z[1]
-        else:
-            try:  # both arguments in one coercion and one finiteness count
-                z = np.array((x, y), dtype=float)
-                fast = _count_nonzero(np.isfinite(z)) == z.size
-            except (TypeError, ValueError, OverflowError):  # ragged or unequal shapes, a string, an int past floats
-                fast = False
-            # Two index reads, as unpacking the block would iterate it. Off the fast
-            # path each argument is coerced alone, so a message names the one at fault.
-            xv, yv = (z[0], z[1]) if fast else (_as_array(x, "x"), _as_array(y, "y"))
-            d = self.domain.lower.shape[0]  # self.dim, read without two property calls
-            if not 1 <= xv.ndim <= 2 or xv.shape != yv.shape or xv.shape[-1] != d or not xv.size:
-                # Off the fast path: a block when x has two axes, else a vector, into
-                # which a 0-d scalar turns; any other shape is named.
-                block = xv.ndim == 2
-                xv, yv = (v if block else v.reshape(v.shape or (1,)) for v in (xv, yv))
-                for name, v in (("x", xv), ("y", yv)):
-                    if v.ndim != 1 + block or not v.size:
-                        rule = "a block of rows (n, d)" if block else "a 1-D sequence"
-                        raise ValueError(f"{name} must be {rule} of reals, got shape {v.shape}")
-                if block and xv.shape[0] != yv.shape[0]:
-                    raise ValueError(f"operator {self.name!r} got {xv.shape[0]} and {yv.shape[0]} rows")
-                dx, dy = xv.shape[-1], yv.shape[-1]
-                if dx != d or dy != d:
-                    raise ValueError(
-                        f"operator {self.name!r} has dimension {d}, got arguments of dimension {dx} and {dy}"
-                    )
+        if not _checked:
+            x, y = _as_array(x, "x"), _as_array(y, "y")
+            # A block when x has two axes, else a vector, into which a 0-d
+            # scalar turns; any other shape is named.
+            block = x.ndim == 2
+            x, y = (v if block else v.reshape(v.shape or (1,)) for v in (x, y))
+            for name, v in (("x", x), ("y", y)):
+                if v.ndim != 1 + block or not v.size:
+                    rule = "a block of rows (n, d)" if block else "a 1-D sequence"
+                    raise ValueError(f"{name} must be {rule} of reals, got shape {v.shape}")
+            if block and x.shape[0] != y.shape[0]:
+                raise ValueError(f"operator {self.name!r} got {x.shape[0]} and {y.shape[0]} rows")
+            d, dx, dy = self.dim, x.shape[-1], y.shape[-1]
+            if dx != d or dy != d:
+                raise ValueError(
+                    f"operator {self.name!r} has dimension {d}, got arguments of dimension {dx} and {dy}"
+                )
+        z = np.array((x, y))  # a fresh block: the evaluator may write into it
+        xv, yv = z[0], z[1]
         out = np.asarray(self.evaluator(xv, yv), dtype=float)
         if out.shape != xv.shape:
             raise OutputDimensionError(f"operator {self.name!r} returned shape {out.shape}, expected {xv.shape}")
