@@ -39,6 +39,8 @@ def _as_array(value, name: str) -> np.ndarray:
         arr = np.array(value, dtype=float)
     except OverflowError:  # an int past the float range
         raise ValueError(f"{name} has non-finite coordinates") from None
+    except ValueError as exc:  # ragged, or a string that is not a number: keep numpy's reason
+        raise ValueError(f"{name} is not an array of reals: {exc}") from None
     if _count_nonzero(np.isfinite(arr)) != arr.size:  # one C call; .all() goes through Python
         raise ValueError(f"{name} has non-finite coordinates")
     return arr
@@ -110,7 +112,7 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
         sq = np.vecdot(v, v)
         norms = np.sqrt(sq)
         big = sq == np.inf
-        if big.any():
+        if _count_nonzero(big):  # one C call; .any() goes through Python
             norms[big] = [_norm(row) for row in v[big]]
     return norms
 

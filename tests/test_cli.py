@@ -492,6 +492,21 @@ class TestValueGrammar:
         assert run_cli("run", "--operator", "example_4_1", "--x0", literal) == 1
         assert capsys.readouterr().err.startswith("error: x0: malformed array literal '[[[")
 
+    def test_ragged_array_names_its_key(self, capsys):
+        assert run_cli("run", "--operator", "example_4_1", "--x0", "[[1, 2], [3]]") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: x0 is not an array of reals: setting an array element with a sequence")
+        assert "Traceback" not in err
+
+    def test_ragged_matrix_in_file_names_its_key(self, tmp_path, capsys):
+        p = tmp_path / "problem.txt"
+        p.write_text(
+            "operator = linear\na_matrix = [[0.5, 1], [0.25]]\nb_matrix = [[0.25]]\n"
+            "shift = [0.0]\nlower = [-1]\nupper = [1]\nx0 = [0]\n"
+        )
+        assert run_cli("run", "--problem", str(p)) == 1
+        assert capsys.readouterr().err.startswith("error: operator: a_matrix is not an array of reals: ")
+
     def test_non_number_matrix_entry_in_file(self, tmp_path, capsys):
         p = tmp_path / "problem.txt"
         p.write_text(

@@ -122,12 +122,13 @@ def _operator(name):
     return make_linear_operator(0.1 * np.eye(2), 0.1 * np.eye(2), [0.0, 0.0], Box([-1.0, -1.0], [1.0, 1.0]))
 
 
-# eval coerces both arguments as one array; whatever that cannot take is coerced
-# one argument at a time, so each message is the one the argument alone gives.
+# eval and CoupledPair coerce each argument alone, so each message is the one the
+# argument alone gives. Ragged or non-numeric input is named, with numpy's reason.
 _RAGGED = (
-    "setting an array element with a sequence. The requested array has an inhomogeneous shape "
-    "after 1 dimensions. The detected shape was (2,) + inhomogeneous part."
+    "is not an array of reals: setting an array element with a sequence. The requested array has "
+    "an inhomogeneous shape after 1 dimensions. The detected shape was (2,) + inhomogeneous part."
 )
+_NOT_A_NUMBER = "is not an array of reals: could not convert string to float:"
 EVAL_MESSAGES = {
     "nan_only_in_y": ("example_2_1", [0.5], [np.nan], "y has non-finite coordinates"),
     "inf_only_in_y": ("example_2_1", [0.5], [-np.inf], "y has non-finite coordinates"),
@@ -137,10 +138,10 @@ EVAL_MESSAGES = {
     "shapes_2_and_3": (
         "plane", [0.1, 0.2], [0.1, 0.2, 0.3], "operator 'linear' has dimension 2, got arguments of dimension 2 and 3"
     ),
-    "ragged_x": ("plane", [[0.1, 0.2], [0.3]], [[0.1, 0.2], [0.3, 0.4]], _RAGGED),
-    "ragged_y": ("plane", [0.1, 0.2], [[0.1], 0.2], _RAGGED),
-    "string_x": ("example_2_1", ["a"], [0.5], "could not convert string to float: 'a'"),
-    "string_y": ("example_2_1", [0.5], "abc", "could not convert string to float: 'abc'"),
+    "ragged_x": ("plane", [[0.1, 0.2], [0.3]], [[0.1, 0.2], [0.3, 0.4]], f"x {_RAGGED}"),
+    "ragged_y": ("plane", [0.1, 0.2], [[0.1], 0.2], f"y {_RAGGED}"),
+    "string_x": ("example_2_1", ["a"], [0.5], f"x {_NOT_A_NUMBER} 'a'"),
+    "string_y": ("example_2_1", [0.5], "abc", f"y {_NOT_A_NUMBER} 'abc'"),
     "rows_3_and_4": ("plane", np.zeros((3, 2)), np.zeros((4, 2)), "operator 'linear' got 3 and 4 rows"),
     "block_and_vector": (
         "plane", np.zeros((3, 2)), np.zeros(2), "y must be a block of rows (n, d) of reals, got shape (2,)"
@@ -354,7 +355,31 @@ class TestRegistry:
         assert get_operator("example_2_1") is not get_operator("example_2_1")
 
 
+PAIR_MESSAGES = {
+    "nan_only_in_y": ([0.5], [np.nan], "y has non-finite coordinates"),
+    "int_past_floats_in_x": ([10**400], [0.5], "x has non-finite coordinates"),
+    "none_as_y": ([0.5], None, "y has non-finite coordinates"),
+    "empty": ([], [], "x must be a 1-D sequence of reals, got shape (0,)"),
+    "two_axes_in_y": ([1.0], [[1.0]], "y must be a 1-D sequence of reals, got shape (1, 1)"),
+    "dimensions_1_and_2": ([1.0], [1.0, 2.0], "pair components differ in dimension: 1 vs 2"),
+    "ragged_x": ([[0.1, 0.2], [0.3]], [0.5], f"x {_RAGGED}"),
+    "string_y": ([0.5], "abc", f"y {_NOT_A_NUMBER} 'abc'"),
+}
+
+
 class TestCoupledPair:
+    @pytest.mark.parametrize("case", PAIR_MESSAGES)
+    def test_message_is_the_one_the_component_alone_gives(self, case):
+        x, y, message = PAIR_MESSAGES[case]
+        with pytest.raises(ValueError) as info:
+            CoupledPair(x, y)
+        assert str(info.value) == message
+
+    def test_scalar_pair_is_a_vector_of_one(self):
+        pair = CoupledPair(0.5, np.float64(0.25))
+        assert pair.x.shape == pair.y.shape == (1,)
+        assert pair == CoupledPair([0.5], [0.25])
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             CoupledPair([1.0], [1.0, 2.0])
