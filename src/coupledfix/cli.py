@@ -22,8 +22,8 @@ are ignored. One value grammar covers file lines, flags (``--x0 [1, 0.5]``,
 ``--guard-domain auto``), ``analyze`` positionals and
 COUPLEDFIX_DEFAULT_TOL: ``_KINDS`` gives each key one kind. operator,
 scheme, out and format are text, kept as written. guard_domain is one of the
-words true, false, auto or none (any case), which are values of no other
-key. Every number, alone or in an array, is a JSON number, read as a trace
+words true, false, auto or none (any case; auto and none read as false),
+which are values of no other key. Every number, alone or in an array, is a JSON number, read as a trace
 is read: ``-0`` is -0.0, and ``.5``, ``5.``, ``+1``, ``1_000``, non-ASCII
 digits, ``inf`` and ``nan`` are no numbers. theta and tol are floats;
 max_iter, seed and samples are integers (``1e3`` is one, ``2.5`` is not).
@@ -69,7 +69,7 @@ _EXIT_BY_STATUS = {
     iteration.LEFT_DOMAIN: 3,
 }
 
-_GUARD_WORDS = {"true": True, "false": False, "auto": None, "none": None}
+_GUARD_WORDS = {"true": True, "false": False, "auto": False, "none": False}
 
 
 class CliError(ValueError):
@@ -332,7 +332,8 @@ def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", help="integer recorded in the trace (default: 0)")
     p.add_argument(
         "--guard-domain", dest="guard_domain",
-        help="project iterates back into the domain: true, false or auto (the default; none means auto)",
+        help="clamp every iterate into the domain: true, false or auto (the default); auto and none mean "
+        "false, and an operator that does not map its domain into itself is clamped either way",
     )
     p.add_argument("--x0", help="starting point, e.g. [1] or [0.5, -0.5]")
     p.add_argument("--y0", help="second starting point for the double schemes")

@@ -22,11 +22,10 @@ oscillate forever on period-2 orbits, so it additionally stops when a
 machine precision while the residual is still large); the trace then
 carries ``cycle_detected=True`` with status ``max_iter_reached``.
 
-Domain handling: when an operator does not map its domain into itself,
-every new iterate is clamped back into the box (``guard_domain`` is forced
-on and recorded in the trace's config). For self-maps the guard defaults
-to off, and an iterate escaping the box anyway stops the run with status
-``left_domain``.
+Domain handling: every new iterate is clamped back into the box when the
+operator does not map its domain into itself, or when ``guard_domain`` is
+set; the trace's config records whether the run clamped. Otherwise an
+iterate escaping the box anyway stops the run with status ``left_domain``.
 
 Traces record every iterate up to a cap of 10**5 entries; longer runs keep
 every k-th iterate (k minimal to stay under the cap) plus the final one,
@@ -114,25 +113,24 @@ class SchemeConfig:
     ``trace_from_json``): ``theta`` and ``tol`` become floats, ``max_iter``
     and ``seed`` ints, never rounded (a bool is rejected), and ``validate``
     must pass; ``theta`` is ignored by ``picard_double`` but must still be
-    finite, since the trace's JSON carries it. ``guard_domain`` is a bool,
-    or None for automatic: off for operators that map their domain into
-    themselves, forced on otherwise. No scheme reads ``seed``; it travels
-    into the trace, where the benchmark's checks (``perfbench/checks.py``)
-    compare it.
+    finite, since the trace's JSON carries it. ``guard_domain`` becomes a
+    bool (None is False): True clamps every run, and a run on an operator
+    that does not map its domain into itself clamps either way. No scheme
+    reads ``seed``; it travels into the trace, where the benchmark's checks
+    (``perfbench/checks.py``) compare it.
     """
 
     scheme: str
     theta: float = 0.5
     tol: float = 1e-10
     max_iter: int = 1000
-    guard_domain: bool | None = None
+    guard_domain: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
         for name, kind in (("theta", float), ("tol", float), ("max_iter", int), ("seed", int)):
             object.__setattr__(self, name, _as_number(getattr(self, name), name, kind))
-        if self.guard_domain is not None:
-            object.__setattr__(self, "guard_domain", bool(self.guard_domain))
+        object.__setattr__(self, "guard_domain", bool(self.guard_domain))
         self.validate()
 
     def validate(self) -> None:
@@ -157,16 +155,15 @@ class IterationTrace:
     ``iterates[k]`` is the pair at step ``step_indices[k]`` (indices are
     consecutive unless the storage cap forced thinning), ``residuals[k]``
     its residual, and ``distances_to_target[k]`` its distance to the
-    reference point when one was supplied. ``scheme_config`` is the
-    resolved copy actually used (in particular ``guard_domain`` is a
-    concrete bool). Two traces are equal when every field is; iterates
-    compare element by element (``np.array_equal``, so 0.0 equals -0.0).
+    reference point when one was supplied. ``scheme_config`` is the copy
+    actually used: its ``guard_domain`` says whether the run clamped. Two
+    traces are equal when every field is; iterates compare element by
+    element (``np.array_equal``, so 0.0 equals -0.0).
 
     A trace is built only if ``trace_from_json`` could read it back, as far
-    as that takes constant time: ``guard_domain`` is resolved, there is at
-    least one entry, and ``step_indices``, ``residuals`` and any
-    ``distances_to_target`` are as long as ``iterates``. Anything else
-    raises the reader's ``ValueError``.
+    as that takes constant time: there is at least one entry, and
+    ``step_indices``, ``residuals`` and any ``distances_to_target`` are as
+    long as ``iterates``. Anything else raises the reader's ``ValueError``.
     """
 
     step_indices: list[int]
@@ -179,8 +176,6 @@ class IterationTrace:
     cycle_detected: bool = False
 
     def __post_init__(self) -> None:
-        if self.scheme_config.guard_domain is None:
-            raise ValueError("guard_domain must be a boolean, got None")
         m = len(self.iterates)
         if not m:
             raise ValueError(f"iterates must be a non-empty array, got {self.iterates!r}")
@@ -252,7 +247,7 @@ def _run_loop(
     if target_v is not None and target_v.shape[0] != d:
         raise ValueError(f"target has dimension {target_v.shape[0]}, operator expects {d}")
 
-    guard = not f.range_in_domain or bool(cfg.guard_domain)
+    guard = cfg.guard_domain or not f.range_in_domain
     box = f.domain
     escape_slack = 1e-12 * (1.0 + float(np.abs(np.concatenate([box.lower, box.upper])).max()))
     # The bounds Box.contains(v, slack=escape_slack) compares against; next
@@ -486,9 +481,8 @@ def _worst_violation(name: str, terms: np.ndarray) -> DiagnosticCheck:
 def verify_residual_decay(trace: IterationTrace) -> DiagnosticReport:
     """Check that the residual sequence behaves like a vanishing one.
 
-    Asserts the final residual is within tolerance for converged traces,
-    that the running minimum of the residuals is nonincreasing, and, for
-    traces of at least 50 entries, that the median of the last 10% of
+    Asserts the final residual is within tolerance for converged traces
+    and, for traces of at least 50 entries, that the median of the last 10% of
     residuals is below the median of the first 10%.
     """
     res = np.asarray(trace.residuals, dtype=float)
@@ -503,12 +497,6 @@ def verify_residual_decay(trace: IterationTrace) -> DiagnosticReport:
                 0.0 if final_ok else trace.final_residual - trace.scheme_config.tol,
             )
         )
-
-    running_min = np.minimum.accumulate(res)
-    # Compare before subtracting: residuals that start at inf would give inf - inf.
-    rise = running_min[1:] > running_min[:-1]
-    worst_rm = float(np.max(running_min[1:][rise] - running_min[:-1][rise], initial=0.0))
-    checks.append(DiagnosticCheck("running_min_nonincreasing", worst_rm <= 0.0, worst_rm))
 
     if len(res) >= 50:
         k = max(1, len(res) // 10)

@@ -25,7 +25,7 @@ raises a ``ValueError`` naming the key for anything else:
   outside (0, 1), ``tol`` of 0, ...);
 - an empty ``iterates``, or a ``residuals`` or ``distances`` list whose
   length differs from it (``IterationTrace`` refuses these when it is
-  built, and an unresolved ``guard_domain`` too);
+  built);
 - an iterate that is not ``{n, x, y}``, step indices that are not
   integers rising from 0 (such as ``1.5`` or ``[0, 1, 7, 3]``), ``x`` or
   ``y`` that is not an array of finite numbers, or iterates of different

@@ -349,7 +349,7 @@ class TestScalarRules:
 
     def test_guard_domain_words_stay(self, tmp_path):
         p = tmp_path / "problem.txt"
-        for word, parsed in (("true", True), ("False", False), ("auto", None), ("none", None)):
+        for word, parsed in (("true", True), ("False", False), ("auto", False), ("NONE", False)):
             p.write_text(f"guard_domain = {word}\n")
             assert parse_problem_file(str(p)) == {"guard_domain": parsed}
 

@@ -268,9 +268,9 @@ class TestTraceBuiltOnlyIfReadable:
         trace = _hand_built(distances_to_target=[0.5])
         assert trace_from_json(trace_to_json(trace)) == trace
 
-    def test_unresolved_guard_rejected(self):
-        with pytest.raises(ValueError, match="^guard_domain must be a boolean, got None$"):
-            _hand_built(scheme_config=SchemeConfig(PICARD_DOUBLE))
+    def test_default_config_round_trips(self):
+        trace = _hand_built(scheme_config=SchemeConfig(PICARD_DOUBLE))
+        assert trace_from_json(trace_to_json(trace)) == trace
 
     def test_at_least_one_entry(self):
         with pytest.raises(ValueError, match=r"^iterates must be a non-empty array, got \[\]$"):
