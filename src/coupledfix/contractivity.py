@@ -52,7 +52,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .operators import BivariateOperator
-from .space import Box, _as_number, _norm, _row_norms
+from .space import Box, _as_array, _as_number, _norm, _row_norms, norm
 
 __all__ = [
     "MARGIN",
@@ -239,7 +239,7 @@ def estimate_constants(f: BivariateOperator, n_samples: int, seed: int) -> Contr
     if f.domain.is_degenerate():
         raise ValueError(f"operator {f.name!r} has a single-point domain: cannot vary arguments")
     _require_drawable(f)
-    diameter = _norm(f.domain.upper - f.domain.lower)
+    diameter = norm(f.domain.upper - f.domain.lower)  # norm, unlike _norm, silences an overflowed square
     if diameter < MIN_SEPARATION:
         raise ValueError(
             f"operator {f.name!r} has a domain of diameter {diameter:g}, below "
@@ -269,6 +269,9 @@ def classify(
 ) -> ContractivityReport:
     """Label the operator against the three contractivity conditions.
 
+    ``general_samples`` holds quadruples (x, y, u, v) as an array of shape
+    (n, 4, d) of finite reals, as ``draw_quadruples`` gives them; an empty
+    sequence means none. It is checked once, and an error names it.
     Scans the stored axis witnesses plus every general quadruple for
     certificates violating the nonexpansiveness inequalities. Decides the
     strict-contraction question from a_hat + b_hat alone, and refutes weak
@@ -280,7 +283,11 @@ def classify(
         raise ValueError(
             f"report is for operator {report.operator_name!r}, classify got {f.name!r}"
         )
-    quads = np.asarray(general_samples, dtype=float)
+    quads = _as_array(general_samples, "general_samples")
+    if quads.shape == (0,):  # an empty sequence: no samples
+        quads = quads.reshape(0, 4, f.dim)
+    if quads.ndim != 3 or quads.shape[1:] != (4, f.dim):
+        raise ValueError(f"general_samples must have shape (n, 4, {f.dim}), got shape {quads.shape}")
     return _classify_blocks(report, (quads[i : i + _CHUNK] for i in range(0, len(quads), _CHUNK)), f)
 
 

@@ -129,22 +129,26 @@ class BivariateOperator:
         ``x`` and ``y`` are both vectors of shape (d,), or both arrays of
         shape (n, d) whose rows are evaluated as n separate pairs; the number
         of axes of ``x`` decides which, and one rule checks both. Each
-        argument is coerced alone, so a message names the one at fault. The
-        evaluator gets both rows copied into one fresh block, so it never
-        sees the caller's arrays, and must return the shape of its
-        arguments, (d,) or (n, d); any other shape raises
-        ``OutputDimensionError``. Deterministic and side-effect free.
+        argument is coerced alone into a fresh copy, so a message names the
+        one at fault and the evaluator never sees the caller's arrays. The
+        evaluator must return the shape of its arguments, (d,) or (n, d);
+        any other shape raises ``OutputDimensionError``. Deterministic and
+        side-effect free.
 
         ``_checked`` is the iteration engine's entry, which it takes twice a
         step, once per argument order: the engine vouches that ``x`` and
         ``y`` are finite float64 rows of shape (d,). It checked its starting
         pair at entry, and every later row is a relaxed combination of
         finite rows, a clamp, or an image this method has counted finite.
-        Only the input checks are skipped: the copy, the evaluator and the
-        output checks are the same.
+        Only the input checks are skipped: the rows, which the engine's
+        trace entries hold, are copied into one fresh block, and the
+        evaluator and the output checks are the same.
         """
-        if not _checked:
-            x, y = _as_array(x, "x"), _as_array(y, "y")
+        if _checked:
+            z = np.array((x, y))  # a fresh block: the evaluator may write into it
+            x, y = z[0], z[1]
+        else:
+            x, y = _as_array(x, "x"), _as_array(y, "y")  # fresh copies
             # A block when x has two axes, else a vector, into which a 0-d
             # scalar turns; any other shape is named.
             block = x.ndim == 2
@@ -160,26 +164,30 @@ class BivariateOperator:
                 raise ValueError(
                     f"operator {self.name!r} has dimension {d}, got arguments of dimension {dx} and {dy}"
                 )
-        z = np.array((x, y))  # a fresh block: the evaluator may write into it
-        xv, yv = z[0], z[1]
-        out = np.asarray(self.evaluator(xv, yv), dtype=float)
-        if out.shape != xv.shape:
-            raise OutputDimensionError(f"operator {self.name!r} returned shape {out.shape}, expected {xv.shape}")
+        out = np.asarray(self.evaluator(x, y), dtype=float)
+        if out.shape != x.shape:
+            raise OutputDimensionError(f"operator {self.name!r} returned shape {out.shape}, expected {x.shape}")
         if _count_nonzero(np.isfinite(out)) != out.size:
             raise NonFiniteEvaluationError(f"operator {self.name!r} returned non-finite output")
         return out
 
 
 def is_coupled_fixed_point(f: BivariateOperator, pair: CoupledPair, tol: float) -> bool:
-    """True iff ``norm(F(x,y) - x) <= tol`` and ``norm(F(y,x) - y) <= tol``."""
+    """True iff ``norm(F(x,y) - x) <= tol`` and ``norm(F(y,x) - y) <= tol``.
+
+    A difference that overflows is a residual of inf, so the answer is then False.
+    """
     tol = _as_number(tol, "tol")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if tol == math.inf:
         raise ValueError(f"tol must be finite, got {tol}")
-    rx = norm(f.eval(pair.x, pair.y) - pair.x)
-    ry = norm(f.eval(pair.y, pair.x) - pair.y)
-    return rx <= tol and ry <= tol
+    fx, fy = f.eval(pair.x, pair.y), f.eval(pair.y, pair.x)
+    with np.errstate(over="ignore"):
+        dx, dy = fx - pair.x, fy - pair.y
+    if not (np.isfinite(dx).all() and np.isfinite(dy).all()):
+        return False  # a difference that overflows is a residual of inf, as the engine records it
+    return norm(dx) <= tol and norm(dy) <= tol
 
 
 def _as_square_matrix(value, name: str) -> np.ndarray:

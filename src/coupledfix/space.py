@@ -39,7 +39,7 @@ def _as_array(value, name: str) -> np.ndarray:
         arr = np.array(value, dtype=float)
     except OverflowError:  # an int past the float range
         raise ValueError(f"{name} has non-finite coordinates") from None
-    except ValueError as exc:  # ragged, or a string that is not a number: keep numpy's reason
+    except (ValueError, TypeError) as exc:  # ragged, a string or a complex, dict, ...: keep numpy's reason
         raise ValueError(f"{name} is not an array of reals: {exc}") from None
     if _count_nonzero(np.isfinite(arr)) != arr.size:  # one C call; .all() goes through Python
         raise ValueError(f"{name} has non-finite coordinates")

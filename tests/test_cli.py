@@ -718,6 +718,19 @@ class TestAnalyzeLinear:
         assert doc["a_hat"] == pytest.approx(0.25, abs=1e-12)
         assert "contraction_candidate" in doc["classification"]
 
+    def test_wide_box_without_a_warning(self, tmp_path, capsys):
+        # The box's diameter, 4e200 * sqrt(2), is finite, but its square overflows:
+        # the suite turns the RuntimeWarning numpy would print into an error.
+        p = tmp_path / "problem.txt"
+        p.write_text(
+            "operator = linear\na_matrix = [[0.5, 0], [0, 0.25]]\nb_matrix = [[0.25, 0], [0, 0.5]]\n"
+            "shift = [0, 0]\nlower = [-1e200, -1e200]\nupper = [1e200, 1e200]\n"
+        )
+        assert run_cli("analyze", "--problem", str(p), "--samples", "50", "--seed", "1") == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "contraction_candidate" in json.loads(out)["classification"]
+
 
 class TestOutPath:
     COMMANDS = {

@@ -154,6 +154,18 @@ class TestEstimateConstants:
             assert report.b_hat <= beta + 1e-9
 
 
+# classify coerces its quadruples once and names them; an empty sequence means no samples.
+_QUAD_SHAPE = "general_samples must have shape (n, 4, 1), got shape"
+GENERAL_SAMPLES_MESSAGES = {
+    "three_points_a_row": (np.zeros((5, 3, 1)), f"{_QUAD_SHAPE} (5, 3, 1)"),
+    "no_coordinate_axis": (np.zeros((5, 4)), f"{_QUAD_SHAPE} (5, 4)"),
+    "dimension_2": (np.zeros((5, 4, 2)), f"{_QUAD_SHAPE} (5, 4, 2)"),
+    "scalar": (0.5, f"{_QUAD_SHAPE} ()"),
+    "nan_in_y": ([[[0.0], [np.nan], [0.0], [0.0]]], "general_samples has non-finite coordinates"),
+    "string": ("abc", "general_samples is not an array of reals: could not convert string to float: 'abc'"),
+}
+
+
 class TestClassify:
     def test_skew_map_labels(self):
         f = get_operator("example_2_1")
@@ -243,6 +255,15 @@ class TestClassify:
         report = estimate_constants(get_operator("example_2_1"), 10, seed=0)
         with pytest.raises(ValueError, match="operator"):
             classify(report, [], get_operator("example_4_1"))
+
+    @pytest.mark.parametrize("case", GENERAL_SAMPLES_MESSAGES)
+    def test_general_samples_checked_once(self, case):
+        f = get_operator("example_2_1")
+        report = estimate_constants(f, 10, seed=0)
+        samples, message = GENERAL_SAMPLES_MESSAGES[case]
+        with pytest.raises(ValueError) as info:
+            classify(report, samples, f)
+        assert str(info.value) == message
 
     def test_refutation_witnesses_certify(self):
         # Every refuted_* label ships a witness whose re-evaluation confirms

@@ -129,6 +129,7 @@ _RAGGED = (
     "an inhomogeneous shape after 1 dimensions. The detected shape was (2,) + inhomogeneous part."
 )
 _NOT_A_NUMBER = "is not an array of reals: could not convert string to float:"
+_NOT_A_REAL = "is not an array of reals: float() argument must be a string or a real number, not"
 EVAL_MESSAGES = {
     "nan_only_in_y": ("example_2_1", [0.5], [np.nan], "y has non-finite coordinates"),
     "inf_only_in_y": ("example_2_1", [0.5], [-np.inf], "y has non-finite coordinates"),
@@ -142,6 +143,7 @@ EVAL_MESSAGES = {
     "ragged_y": ("plane", [0.1, 0.2], [[0.1], 0.2], f"y {_RAGGED}"),
     "string_x": ("example_2_1", ["a"], [0.5], f"x {_NOT_A_NUMBER} 'a'"),
     "string_y": ("example_2_1", [0.5], "abc", f"y {_NOT_A_NUMBER} 'abc'"),
+    "complex_y": ("example_2_1", [0.5], [1j], f"y {_NOT_A_REAL} 'complex'"),
     "rows_3_and_4": ("plane", np.zeros((3, 2)), np.zeros((4, 2)), "operator 'linear' got 3 and 4 rows"),
     "block_and_vector": (
         "plane", np.zeros((3, 2)), np.zeros(2), "y must be a block of rows (n, d) of reals, got shape (2,)"
@@ -208,6 +210,12 @@ class TestIsCoupledFixedPoint:
         f = get_operator("example_2_1")
         with pytest.raises(ValueError, match="^tol must be "):
             is_coupled_fixed_point(f, CoupledPair([0.5], [0.5]), tol)
+
+    def test_overflowed_residual_is_not_fixed(self):
+        # F(x, y) = -x: F(x, y) - x = -3.4e308 overflows, and the engine records a residual of inf there.
+        big = np.finfo(float).max
+        f = BivariateOperator(name="negation", domain=Box([-big], [big]), evaluator=lambda x, y: -x)
+        assert not is_coupled_fixed_point(f, CoupledPair([1.7e308], [0.0]), 1e-10)
 
     def test_all_known_points_validate(self):
         for name in operator_names():
@@ -364,6 +372,8 @@ PAIR_MESSAGES = {
     "dimensions_1_and_2": ([1.0], [1.0, 2.0], "pair components differ in dimension: 1 vs 2"),
     "ragged_x": ([[0.1, 0.2], [0.3]], [0.5], f"x {_RAGGED}"),
     "string_y": ([0.5], "abc", f"y {_NOT_A_NUMBER} 'abc'"),
+    "dict_x": ({"a": 1}, [0.5], f"x {_NOT_A_REAL} 'dict'"),
+    "object_y": ([0.5], object(), f"y {_NOT_A_REAL} 'object'"),
 }
 
 
