@@ -22,8 +22,8 @@ are ignored. One value grammar covers file lines, flags (``--x0 [1, 0.5]``,
 ``--guard-domain auto``), ``analyze`` positionals and
 COUPLEDFIX_DEFAULT_TOL: ``_KINDS`` gives each key one kind. operator,
 scheme, out and format are text, kept as written. guard_domain is one of the
-words true, false, auto or none (any case; auto and none read as false),
-which are values of no other key. Every number, alone or in an array, is a JSON number, read as a trace
+words true, false, auto or none (any case), which are values of no other
+key. Every number, alone or in an array, is a JSON number, read as a trace
 is read: ``-0`` is -0.0, and ``.5``, ``5.``, ``+1``, ``1_000``, non-ASCII
 digits, ``inf`` and ``nan`` are no numbers. theta and tol are floats;
 max_iter, seed and samples are integers (``1e3`` is one, ``2.5`` is not).
@@ -34,7 +34,8 @@ comma-separated numbers, or an array, each in (0, 1). Every number must be
 finite: ``1e999`` and integers past the float range are rejected. A value
 that does not fit its key's kind exits 1 naming the key, also under a
 command that does not read that key (``thetas = abc`` in a ``run`` file). A
-flag wins over an ``analyze`` positional, which wins over the file.
+flag wins over an ``analyze`` positional, which wins over the file. The guard
+words auto and none mean false.
 
 Exit codes for ``run``: 0 converged, 2 max_iter_reached (including
 detected cycles), 3 diverged or left the domain, 1 malformed input or a

@@ -239,7 +239,7 @@ def estimate_constants(f: BivariateOperator, n_samples: int, seed: int) -> Contr
     if f.domain.is_degenerate():
         raise ValueError(f"operator {f.name!r} has a single-point domain: cannot vary arguments")
     _require_drawable(f)
-    diameter = norm(f.domain.upper - f.domain.lower)  # norm, unlike _norm, silences an overflowed square
+    diameter = norm(f.domain.upper - f.domain.lower)  # under errstate: an overflowed square prints no warning
     if diameter < MIN_SEPARATION:
         raise ValueError(
             f"operator {f.name!r} has a domain of diameter {diameter:g}, below "

@@ -482,8 +482,8 @@ def verify_residual_decay(trace: IterationTrace) -> DiagnosticReport:
     """Check that the residual sequence behaves like a vanishing one.
 
     Asserts the final residual is within tolerance for converged traces
-    and, for traces of at least 50 entries, that the median of the last 10% of
-    residuals is below the median of the first 10%.
+    and, for traces of at least 50 entries, that the median of the last
+    10% of residuals is below the median of the first 10%.
     """
     res = np.asarray(trace.residuals, dtype=float)
     checks = []

@@ -175,7 +175,8 @@ class BivariateOperator:
 def is_coupled_fixed_point(f: BivariateOperator, pair: CoupledPair, tol: float) -> bool:
     """True iff ``norm(F(x,y) - x) <= tol`` and ``norm(F(y,x) - y) <= tol``.
 
-    A difference that overflows is a residual of inf, so the answer is then False.
+    A difference that overflows is a residual of inf, as the engine records
+    it, so the answer is then False.
     """
     tol = _as_number(tol, "tol")
     if not tol > 0.0:
@@ -186,7 +187,7 @@ def is_coupled_fixed_point(f: BivariateOperator, pair: CoupledPair, tol: float) 
     with np.errstate(over="ignore"):
         dx, dy = fx - pair.x, fy - pair.y
     if not (np.isfinite(dx).all() and np.isfinite(dy).all()):
-        return False  # a difference that overflows is a residual of inf, as the engine records it
+        return False
     return norm(dx) <= tol and norm(dy) <= tol
 
 
