@@ -38,8 +38,12 @@ so its pair iterates converge to ((x0-y0)/2, (y0-x0)/2), which is (0, 0)
 only when x0 = y0. Acceptance criterion 3 checks the engine against this
 formula.
 
-Powers are accumulated by repeated multiplication (not ``pow``) so the
-oracle's rounding path stays close to the engine's.
+Powers are accumulated by repeated multiplication (not ``pow``), one
+``np.multiply.accumulate`` over the step weights, so the oracle's rounding
+path stays close to the engine's. ``oracle_trace`` evaluates the formulas
+for all n at once, as one block of x rows and one of y rows, and gives
+the same bits as ``oracle_iterate`` at each n; row 0 is the initial pair
+exactly.
 """
 
 from __future__ import annotations
@@ -110,23 +114,28 @@ class OracleHandle:
             object.__setattr__(self, "lam", lam)
 
 
-def _powers(h: OracleHandle, n_max: int):
-    # (p_slow, p_fast) for n = 0..n_max: running products of the difference and sum weights.
+def _powers(h: OracleHandle, n_max: int) -> np.ndarray:
+    # Rows p_slow and p_fast for n = 0..n_max: running products of the difference and
+    # sum weights. accumulate multiplies in order, once per step, as a loop would.
     if h.kind == PICARD_EXAMPLE_2_1:
         slow, fast = 1.0, -1.0 / 3.0
     else:
         slow, fast = 1.0 - h.lam, 1.0 - 2.0 * h.lam
-    p_slow = p_fast = 1.0
-    for _ in range(n_max + 1):
-        yield p_slow, p_fast
-        p_slow *= slow
-        p_fast *= fast
+    factors = np.empty((2, n_max + 1))
+    factors[:, 0] = 1.0
+    factors[0, 1:], factors[1, 1:] = slow, fast
+    return np.multiply.accumulate(factors, axis=1)
 
 
-def _pair_at(h: OracleHandle, n: int, p_slow: float, p_fast: float) -> CoupledPair:
+def oracle_iterate(h: OracleHandle, n: int) -> CoupledPair:
+    """The n-th iterate pair of the formula; n = 0 returns the initial values exactly."""
+    n = _as_number(n, "n", int)
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     # CoupledPair copies both components, so the pair never aliases h.
     if n == 0:
         return CoupledPair(h.x0, h.x0 if h.y0 is None else h.y0)
+    p_slow, p_fast = _powers(h, n)[:, -1].tolist()
     if h.kind == KRASNOSELSKIJ_EXAMPLE_4_1:
         x = p_fast * h.x0
         return CoupledPair(x, x)
@@ -135,22 +144,24 @@ def _pair_at(h: OracleHandle, n: int, p_slow: float, p_fast: float) -> CoupledPa
     return CoupledPair(half_diff + half_sum, -half_diff + half_sum)
 
 
-def oracle_iterate(h: OracleHandle, n: int) -> CoupledPair:
-    """The n-th iterate pair of the formula; n = 0 returns the initial values exactly."""
-    n = _as_number(n, "n", int)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    for powers in _powers(h, n):
-        pass
-    return _pair_at(h, n, *powers)
-
-
 def oracle_trace(h: OracleHandle, n_max: int) -> list[CoupledPair]:
     """Iterates 0..n_max inclusive, bit-identical to per-index ``oracle_iterate`` calls."""
     n_max = _as_number(n_max, "n_max", int)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    return [_pair_at(h, n, *powers) for n, powers in enumerate(_powers(h, n_max))]
+    # The formulas of oracle_iterate, a (n_max + 1, d) block each: row n is pair n.
+    p_slow, p_fast = _powers(h, n_max)[:, :, None]
+    if h.kind == KRASNOSELSKIJ_EXAMPLE_4_1:
+        xs = p_fast * h.x0
+        ys = xs.copy()
+    else:
+        half_sum = (0.5 * p_fast) * (h.x0 + h.y0)
+        half_diff = (0.5 * p_slow) * (h.x0 - h.y0)
+        xs = half_diff + half_sum
+        ys = half_sum - half_diff
+    xs[0], ys[0] = h.x0, h.x0 if h.y0 is None else h.y0
+    # Each pair holds one row of xs and one of ys, which no other pair and not h holds.
+    return list(map(CoupledPair._of, xs, ys))
 
 
 def oracle_limit(h: OracleHandle) -> CoupledPair:

@@ -33,24 +33,29 @@ with explicit step indices. Each run is inherently sequential; distinct
 runs share no mutable state and may execute concurrently.
 
 A run checks its inputs once, at entry. The loop then carries the pair as one
-(2, d) block ``z`` (row 0 is x, row 1 is y), whose two rows it reads once a
-step, for both evaluations and for the trace entry. A step:
+(2, d) block ``z`` (row 0 is x, row 1 is y). A step:
 
-- calls ``eval`` twice, ``F(x, y)`` and ``F(y, x)``, and stacks the images
-  into a fresh block ``fz``: two calls a step, plus two at the final pair,
-  as the benchmark's pins count them. Both calls take ``eval``'s checked
-  entry, which copies the rows but does not check them again: they are
-  finite rows of shape (d,), since the starting pair was checked at entry
-  and each later pair is a relaxed combination of finite rows, a clamp, or
-  images ``eval`` counted finite. The images are still checked;
+- copies ``z`` once, into a fresh (4, d) block ``q = [x, y, y, x]``, and
+  calls ``eval`` twice, ``F(x, y)`` on rows 0 and 1 and ``F(y, x)`` on rows
+  2 and 3, stacking the images into a fresh block ``fz``: two calls a step,
+  plus two at the final pair, as the benchmark's pins count them. Each call
+  gets rows of its own, so an evaluator that writes into its arguments
+  changes neither ``z`` nor the other call's rows. Both calls take
+  ``eval``'s checked entry, which checks only the shape of the image: the
+  rows are finite rows of shape (d,), since the starting pair was checked
+  at entry and each later pair is a relaxed combination of finite rows, a
+  clamp, or images counted finite. The loop counts the finite entries of
+  ``fz`` once; a non-finite image ends the run (or raises
+  ``NonFiniteEvaluationError`` at the starting pair);
 - takes the residual from the larger of the two squared row norms of
-  ``z - fz``, with one square root (the same bits as the larger root);
+  ``z - fz``, from one ``np.vecdot`` and one square root (the same bits as
+  the larger root), scaling as ``_norm`` does only when a square overflowed;
 - for Picard, scales ``z`` once for the 2-cycle test, which reads the
   scaled pairs of the last three steps and takes their six norms from one
   stacked block;
 - builds the next pair in a fresh block, ``zn = (1 - theta) * z`` and then
   ``zn += theta * fz`` in place; Picard takes ``fz`` itself;
-- clamps ``zn`` into a new block when guarded, or else tests it for escape.
+- clamps ``zn`` in place when guarded, or else tests it for escape.
 
 Nothing writes into ``z`` or into a block a trace entry holds, so every
 recorded pair owns its rows.
@@ -103,6 +108,8 @@ TRACE_CAP = 100_000
 
 _CYCLE_RTOL = 1e-12
 _CYCLE_MIN_AMPLITUDE = 1e-6
+# Rows of the (4, d) block q = [x, y, y, x] that a step takes from the pair z = [x, y].
+_XYYX = np.array([0, 1, 1, 0])
 
 
 @dataclass(frozen=True)
@@ -279,22 +286,26 @@ def _run_loop(
     n = 0
 
     while status is None:
-        x, y = z[0], z[1]  # index reads: unpacking a block iterates it
-        try:
-            fz = np.array((evaluate(x, y, _checked=True), evaluate(y, x, _checked=True)))
-        except NonFiniteEvaluationError:
+        # Fresh rows for both evaluations, so an evaluator that writes into its
+        # arguments changes neither z nor the other call's rows.
+        q = z.take(_XYYX, axis=0)
+        fz = np.array((evaluate(q[0], q[1], _checked=True), evaluate(q[2], q[3], _checked=True)))
+        if _count_nonzero(np.isfinite(fz)) != fz.size:
             if prev is None:
                 # Broken at the starting pair: nothing sane to trace.
-                raise
+                raise NonFiniteEvaluationError(f"operator {f.name!r} returned non-finite output")
             # F may be undefined off its domain, so a failure at an escaped
             # point reports the escape, ending at the last pair inside.
             status = LEFT_DOMAIN if escaped else DIVERGED_NONFINITE
             n, z = n - 1, prev  # the pair evaluated last: r is its residual
             if n % stride == 0:  # thinning already kept that pair
                 continue
-            x, y = z[0], z[1]
         else:
-            r = _max_row_norm(z - fz)
+            # _max_row_norm, inlined: the root of the larger square, unless a square overflowed.
+            dz = z - fz
+            sx, sy = np.vecdot(dz, dz).tolist()
+            sq = sx if sx >= sy else sy
+            r = math.sqrt(sq) if sq != math.inf else _max_row_norm(dz)
             if picard:
                 sz = s * z
             if escaped:
@@ -307,12 +318,12 @@ def _run_loop(
                 status = MAX_ITER_REACHED
         if n % stride == 0 or status is not None:
             keep_step(n)
-            keep_pair(CoupledPair._of(x, y))
+            keep_pair(CoupledPair._of(z[0], z[1]))
             keep_residual(r)
             if distances is not None:
                 distances.append(_max_row_norm(z - target_v))
         if status is None:
-            # No finiteness test: eval raises on a non-finite F, and for |a|, |b| <= the float
+            # No finiteness test: the images were counted finite, and for |a|, |b| <= the float
             # maximum and theta in (0, 1), |(1 - theta) * a + theta * b| rounds to at most it.
             # zn is a fresh block (fz is one for Picard), so writing into it leaves z alone.
             if picard:
@@ -321,7 +332,7 @@ def _run_loop(
                 zn = w * z
                 zn += theta * fz
             if guard:
-                zn = _clamp(zn, box)
+                _clamp(zn, box, out=zn)
             else:  # zn is finite, so < is the negation of >=
                 escaped = _count_nonzero(zn < low) or _count_nonzero(zn > high)
             prev = z
@@ -483,7 +494,11 @@ def verify_residual_decay(trace: IterationTrace) -> DiagnosticReport:
 
     Asserts the final residual is within tolerance for converged traces
     and, for traces of at least 50 entries, that the median of the last
-    10% of residuals is below the median of the first 10%.
+    10% of residuals is below the median of the first 10%, or is at
+    rounding scale: at most 1e-12 times one plus the largest coordinate of
+    the final pair. A run that reaches that floor within its first tenth
+    stays there, so its tail cannot fall below its head, yet it has
+    vanished as far as floating point can tell.
     """
     res = np.asarray(trace.residuals, dtype=float)
     checks = []
@@ -502,12 +517,14 @@ def verify_residual_decay(trace: IterationTrace) -> DiagnosticReport:
         k = max(1, len(res) // 10)
         head = float(np.median(res[:k]))
         tail = float(np.median(res[-k:]))
+        # The 2-cycle test's rounding scale; coordinates are finite, so the floor is too.
+        floor = _CYCLE_RTOL * (1.0 + max(float(np.abs(v).max()) for v in trace.final_pair))
         checks.append(
             DiagnosticCheck(
                 "tail_median_below_head_median",
-                tail < head,
+                tail < head or tail <= floor,
                 tail - head,
-                detail=f"head={head:.3e} tail={tail:.3e}",
+                detail=f"head={head:.3e} tail={tail:.3e} floor={floor:.3e}",
             )
         )
 

@@ -137,17 +137,16 @@ class BivariateOperator:
 
         ``_checked`` is the iteration engine's entry, which it takes twice a
         step, once per argument order: the engine vouches that ``x`` and
-        ``y`` are finite float64 rows of shape (d,). It checked its starting
-        pair at entry, and every later row is a relaxed combination of
-        finite rows, a clamp, or an image this method has counted finite.
-        Only the input checks are skipped: the rows, which the engine's
-        trace entries hold, are copied into one fresh block, and the
-        evaluator and the output checks are the same.
+        ``y`` are finite float64 rows of shape (d,) that it hands over fresh,
+        rows of a block it copied for this call and holds nowhere else. It
+        checked its starting pair at entry, and every later row is a relaxed
+        combination of finite rows, a clamp, or an image it has counted
+        finite. So this entry neither copies nor checks the arguments, and it
+        leaves the finiteness count of the image to the engine, which makes
+        it once on both images of a step; the image is still coerced with
+        ``asarray`` and its shape checked (``OutputDimensionError``).
         """
-        if _checked:
-            z = np.array((x, y))  # a fresh block: the evaluator may write into it
-            x, y = z[0], z[1]
-        else:
+        if not _checked:
             x, y = _as_array(x, "x"), _as_array(y, "y")  # fresh copies
             # A block when x has two axes, else a vector, into which a 0-d
             # scalar turns; any other shape is named.
@@ -167,7 +166,7 @@ class BivariateOperator:
         out = np.asarray(self.evaluator(x, y), dtype=float)
         if out.shape != x.shape:
             raise OutputDimensionError(f"operator {self.name!r} returned shape {out.shape}, expected {x.shape}")
-        if _count_nonzero(np.isfinite(out)) != out.size:
+        if not _checked and _count_nonzero(np.isfinite(out)) != out.size:
             raise NonFiniteEvaluationError(f"operator {self.name!r} returned non-finite output")
         return out
 

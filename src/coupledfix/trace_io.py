@@ -39,11 +39,17 @@ raises a ``ValueError`` naming the key for anything else:
 CSV output has columns ``n, x0..x{d-1}, y0..y{d-1}, residual,
 distance_to_target`` (the last column is empty when no reference point was
 supplied); an infinite residual is written as ``inf``.
+
+Each writer fills one row template per trace, with one ``%`` a row (the
+JSON ``{n, x, y}`` entry or the CSV line): ``"%.17g" % v`` is the same
+string as ``format_float(v)``, inf and -0.0 included. Only the JSON
+``residuals`` and ``distances`` go value by value, for their ``1e999``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import reprlib
@@ -77,10 +83,10 @@ def _array(values) -> str:
 
 
 def _iterates(trace: IterationTrace) -> str:
-    rows = [
-        f'    {{"n": {n}, "x": {_array(p.x.tolist())}, "y": {_array(p.y.tolist())}}}'
-        for n, p in zip(trace.step_indices, trace.iterates)
-    ]
+    # One template per trace: "%.17g" % v is format_float(v), and coordinates are finite.
+    values = ", ".join(["%.17g"] * trace.iterates[0].dim)
+    row = '    {"n": %s, "x": [' + values + '], "y": [' + values + "]}"
+    rows = [row % (n, *p.x.tolist(), *p.y.tolist()) for n, p in zip(trace.step_indices, trace.iterates)]
     return "[\n" + ",\n".join(rows) + "\n  ]"
 
 
@@ -230,13 +236,15 @@ def trace_to_csv(trace: IterationTrace) -> str:
         + [f"y{i}" for i in range(d)]
         + ["residual", "distance_to_target"]
     )
-    lines = [",".join(header)]
+    # One template per trace, filled once a row: "%.17g" % v is format_float(v), inf included.
     dists = trace.distances_to_target
-    for k, (n, pair) in enumerate(zip(trace.step_indices, trace.iterates)):
-        cells = [str(n)]
-        cells.extend(map(format_float, pair.x.tolist()))
-        cells.extend(map(format_float, pair.y.tolist()))
-        cells.append(format_float(trace.residuals[k]))
-        cells.append("" if dists is None else format_float(dists[k]))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    row = "%s," + "%.17g," * (2 * d + 1) + ("%s" if dists is None else "%.17g")
+    if dists is None:  # the last cell is empty
+        dists = itertools.repeat("")
+    lines = [",".join(header)]
+    lines += [
+        row % (n, *p.x.tolist(), *p.y.tolist(), r, dist)
+        for n, p, r, dist in zip(trace.step_indices, trace.iterates, trace.residuals, dists)
+    ]
+    lines.append("")  # one join, to the final newline: no copy of the text is added to it
+    return "\n".join(lines)

@@ -1,10 +1,14 @@
-"""Shared generators for test problems."""
+"""Shared generators for test problems, and reference trace writers."""
 
 from __future__ import annotations
+
+import json
+import math
 
 import numpy as np
 
 from coupledfix import BivariateOperator, Box, make_linear_operator
+from coupledfix.trace_io import format_float
 
 
 def random_linear_operator(rng, d=None, norm_sum=None, radius=2.0, name="linear"):
@@ -72,3 +76,52 @@ def blowup():
         evaluator=lambda x, y: x * 1e250,
         range_in_domain=True,
     )
+
+
+# Reference writers: the trace formats spelt out value by value, one
+# format_float call per number, for the writers' byte-equality tests.
+
+
+def _reference_number(v) -> str:
+    return "1e999" if v == math.inf else format_float(v)
+
+
+def _reference_array(values) -> str:
+    return "[" + ", ".join(_reference_number(v) for v in values) + "]"
+
+
+def reference_trace_to_json(trace) -> str:
+    cfg = trace.scheme_config
+    entries = [
+        f'    {{"n": {n}, "x": {_reference_array(p.x.tolist())}, "y": {_reference_array(p.y.tolist())}}}'
+        for n, p in zip(trace.step_indices, trace.iterates)
+    ]
+    dists = trace.distances_to_target
+    fields = {
+        "scheme": json.dumps(cfg.scheme),
+        "theta": format_float(cfg.theta),
+        "tol": format_float(cfg.tol),
+        "status": json.dumps(trace.status),
+        "iterates": "[\n" + ",\n".join(entries) + "\n  ]",
+        "residuals": _reference_array(trace.residuals),
+        "distances": "null" if dists is None else _reference_array(dists),
+        "operator_name": json.dumps(trace.operator_name),
+        "seed": str(cfg.seed),
+        "max_iter": str(cfg.max_iter),
+        "guard_domain": json.dumps(cfg.guard_domain),
+        "cycle_detected": json.dumps(bool(trace.cycle_detected)),
+    }
+    return "{\n" + ",\n".join(f'  "{key}": {value}' for key, value in fields.items()) + "\n}\n"
+
+
+def reference_trace_to_csv(trace) -> str:
+    d = trace.iterates[0].dim
+    header = ["n", *(f"x{i}" for i in range(d)), *(f"y{i}" for i in range(d)), "residual", "distance_to_target"]
+    lines = [",".join(header)]
+    dists = trace.distances_to_target
+    for k, (n, p) in enumerate(zip(trace.step_indices, trace.iterates)):
+        cells = [str(n), *map(format_float, p.x.tolist()), *map(format_float, p.y.tolist())]
+        cells.append(format_float(trace.residuals[k]))
+        cells.append("" if dists is None else format_float(dists[k]))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"

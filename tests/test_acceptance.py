@@ -46,6 +46,7 @@ from coupledfix import (
     trace_from_json,
     trace_to_json,
     verify_fejer_monotonicity,
+    verify_residual_decay,
     witness_ratio,
 )
 from coupledfix.cli import main as cli_main
@@ -250,9 +251,9 @@ def test_criterion_07_residual_decay_linear_family():
             failures.append(f"{f.name}: run stopped at step {trace.n_steps}")
         if final > 1e-8:
             failures.append(f"{f.name} d={f.dim}: residual at n=2000 is {final:.3e}")
-        running_min = np.minimum.accumulate(trace.residuals)
-        if np.any(np.diff(running_min) > 0):
-            failures.append(f"{f.name}: running-minimum residual increased")
+        decay = verify_residual_decay(trace)
+        if not decay.passed:
+            failures.append(f"{f.name}: residuals do not decay: {decay.checks}")
         if failures:
             break
     finish("criterion 7: residual decay, linear family", failures, started, 30.0)

@@ -271,7 +271,7 @@ class TestSpecLoader:
         p = tmp_path / "problem.txt"
         p.write_text("operator = example_4_1\nx0 = [1]\nguard_domain = true\n")
         assert run_cli("run", "--problem", str(p), "--guard-domain", "auto") == 0
-        # Automatic guarding is off for a self-map.
+        # "auto" means False, which overrides the file's true; a self-map then runs unclamped.
         assert json.loads(capsys.readouterr().out)["guard_domain"] is False
 
     def test_target_flag_overrides_file(self, tmp_path, capsys):

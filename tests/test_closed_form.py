@@ -4,6 +4,7 @@ import pytest
 from coupledfix import (
     DOUBLE_KRASNOSELSKIJ_EXAMPLE_2_1,
     KRASNOSELSKIJ_EXAMPLE_4_1,
+    ORACLE_KINDS,
     PICARD_EXAMPLE_2_1,
     CoupledPair,
     OracleHandle,
@@ -231,6 +232,46 @@ class TestLimitsMatchIterates:
             assert len(tr) == 401
             for n, pair in enumerate(tr):
                 assert pair == oracle_iterate(h, n), (h.kind, n)
+
+
+def _hexes(pairs):
+    return [v.hex() for p in pairs for v in (*p.x.tolist(), *p.y.tolist())]
+
+
+# One handle per kind, with signed zeros in the start: row 0 must be the start exactly.
+BLOCK_HANDLES = {
+    PICARD_EXAMPLE_2_1: lambda: OracleHandle(PICARD_EXAMPLE_2_1, [0.5, -0.0], [0.25, 0.0]),
+    KRASNOSELSKIJ_EXAMPLE_4_1: lambda: OracleHandle(KRASNOSELSKIJ_EXAMPLE_4_1, [0.5, -0.0], lam=0.0011),
+    DOUBLE_KRASNOSELSKIJ_EXAMPLE_2_1: lambda: OracleHandle(
+        DOUBLE_KRASNOSELSKIJ_EXAMPLE_2_1, [0.5, -0.0], [-0.75, 0.0], lam=0.0011
+    ),
+    "diagonal_with_y0": lambda: OracleHandle(KRASNOSELSKIJ_EXAMPLE_4_1, [0.5, -0.0], [0.5, 0.0], lam=0.3),
+}
+
+
+class TestOracleTraceBlocks:
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
+    def test_every_index_matches_oracle_iterate_by_hex(self, kind):
+        h = BLOCK_HANDLES[kind]()
+        tr = oracle_trace(h, 5000)
+        assert len(tr) == 5001
+        assert _hexes(tr) == _hexes(oracle_iterate(h, n) for n in range(5001))
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_HANDLES))
+    def test_a_write_into_one_x_changes_nothing_else(self, name):
+        h = BLOCK_HANDLES[name]()
+        starts = _hexes([CoupledPair(h.x0, h.x0 if h.y0 is None else h.y0)])
+        tr = oracle_trace(h, 6)
+        before = [_hexes([p]) for p in tr]
+        d = h.x0.size
+        for k, pair in enumerate(tr):
+            saved = pair.x.copy()
+            pair.x[...] = 7.0
+            now = [_hexes([p]) for p in tr]
+            assert [m for m in range(len(tr)) if now[m] != before[m]] == [k]
+            assert now[k][d:] == before[k][d:]  # its own y
+            assert _hexes([CoupledPair(h.x0, h.x0 if h.y0 is None else h.y0)]) == starts
+            pair.x[...] = saved
 
 
 class TestIndexArgumentsTyped:

@@ -389,6 +389,39 @@ class TestDomainHandling:
         with pytest.raises(OutputDimensionError, match=message):
             picard_double(f, [1.0], [1.0], cfg(PICARD_DOUBLE, max_iter=50))
 
+    @pytest.mark.parametrize("scheme", iteration_mod.SCHEMES)
+    def test_wrong_output_shape_of_either_call_propagates(self, scheme):
+        # Two coordinates where the first argument is negative: at the starting pair
+        # (0.5, -0.5) that is F(y, x) alone, the step's second call; on the diagonal from -0.5, both.
+        f = BivariateOperator(
+            name="sign_shaped",
+            domain=Box([-1.0], [1.0]),
+            evaluator=lambda x, y: np.zeros(2) if x[0] < 0.0 else 0.5 * x,
+            range_in_domain=True,
+        )
+        x0 = [-0.5] if scheme == KRASNOSELSKIJ_DIAGONAL else [0.5]
+        message = "^" + re.escape("operator 'sign_shaped' returned shape (2,), expected (1,)") + "$"
+        with pytest.raises(OutputDimensionError, match=message):
+            run_scheme(f, cfg(scheme, theta=0.5, max_iter=50), x0, [-0.5])
+
+    def test_nonfinite_second_image_ends_the_run_at_the_pair_before(self):
+        # F is 0.9 where its first argument is at most 0.5, else NaN. From (-1, 0) at theta 0.3,
+        # y passes 0.5 at step 3 while x does not: there F(x, y) is finite and F(y, x) is not.
+        f = BivariateOperator(
+            name="nan_above_half",
+            domain=Box([-1.0], [1.0]),
+            evaluator=lambda x, y: np.where(x > 0.5, np.nan, 0.9),
+            range_in_domain=True,
+        )
+        tr = krasnoselskij_double(f, [-1.0], [0.0], cfg(KRASNOSELSKIJ_DOUBLE, theta=0.3, max_iter=50))
+        x, y = -1.0, 0.0
+        for _ in range(2):  # the engine's arithmetic: (1 - theta) * z, then += theta * F
+            x, y = (1.0 - 0.3) * x + 0.3 * 0.9, (1.0 - 0.3) * y + 0.3 * 0.9
+        assert y <= 0.5 < (1.0 - 0.3) * y + 0.3 * 0.9 and (1.0 - 0.3) * x + 0.3 * 0.9 <= 0.5
+        assert (tr.status, tr.n_steps, tr.step_indices) == (DIVERGED_NONFINITE, 2, [0, 1, 2])
+        assert [v.hex() for v in (*tr.final_pair.x.tolist(), *tr.final_pair.y.tolist())] == [x.hex(), y.hex()]
+        assert tr.final_residual == max(abs(x - 0.9), abs(y - 0.9))
+
     def test_nonfinite_step_diverges(self):
         f = BivariateOperator(
             name="blowup",
@@ -833,6 +866,27 @@ class TestResidualDecay:
         )
         assert tr.status == CONVERGED
         assert verify_residual_decay(tr).passed
+
+    def test_residuals_at_their_floor_from_the_first_tenth(self):
+        # The run reaches its rounding floor, a nonzero residual it then keeps, within
+        # its first tenth, so the tail median equals the head median.
+        rng = np.random.default_rng(0)
+        f = random_linear_operator(rng, d=5, norm_sum=0.5)
+        tr = krasnoselskij_diagonal(
+            f, sample_in_box(rng, f.domain), cfg(KRASNOSELSKIJ_DIAGONAL, theta=0.5, tol=1e-300, max_iter=2000)
+        )
+        assert len(set(tr.residuals[200:])) == 1 and 0.0 < tr.final_residual < 1e-15
+        report = verify_residual_decay(tr)
+        assert report.passed, report.checks
+
+    def test_residual_held_above_the_floor_fails(self):
+        # Clamped at 1 by the guard while F pushes on to 2.5: the residual stays 1.5.
+        c = cfg(KRASNOSELSKIJ_DIAGONAL, theta=0.5, max_iter=100, guard_domain=True)
+        tr = krasnoselskij_diagonal(escaper(), [0.5], c)
+        assert set(tr.residuals) == {1.5}
+        report = verify_residual_decay(tr)
+        assert not report.passed
+        assert report.check("tail_median_below_head_median").detail == "head=1.500e+00 tail=1.500e+00 floor=2.000e-12"
 
     def test_residuals_that_start_at_inf(self):
         # ||F(x, x) - x|| = 2|x| overflows while |x| > M / 2, so the residuals start inf, inf, inf.

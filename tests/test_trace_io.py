@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -12,8 +13,12 @@ from hypothesis import strategies as st
 
 import coupledfix.iteration as iteration_mod
 from coupledfix import (
+    CONVERGED,
+    DIVERGED_NONFINITE,
     KRASNOSELSKIJ_DIAGONAL,
     KRASNOSELSKIJ_DOUBLE,
+    LEFT_DOMAIN,
+    MAX_ITER_REACHED,
     PICARD_DOUBLE,
     SCHEMES,
     BivariateOperator,
@@ -36,6 +41,8 @@ from helpers import (
     dyadic_linear,
     escaper,
     random_linear_operator,
+    reference_trace_to_csv,
+    reference_trace_to_json,
     sample_in_box,
     undefined_outside,
 )
@@ -215,6 +222,64 @@ def test_json_round_trip_property(run):
     again = trace_from_json(text)
     assert again == trace
     assert trace_to_json(again) == text
+
+
+FLOAT_MAX = 1.7976931348623157e308
+# Coordinates and norms at the edges of the 17-digit spelling: signed zeros,
+# the least subnormal, the float maximum, and 1e16, where %g switches to
+# exponent form. Norms may be inf, which JSON writes 1e999 and CSV inf.
+edge_coordinates = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, FLOAT_MAX, -FLOAT_MAX, 1e16, -1e16, 0.1])
+edge_norms = st.sampled_from([0.0, 5e-324, 1e16, FLOAT_MAX, math.inf])
+
+
+@st.composite
+def drawn_traces(draw):
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+    coordinates = edge_coordinates | st.floats(allow_nan=False, allow_infinity=False)
+    norms = edge_norms | st.floats(min_value=0.0, allow_nan=False)
+    vector = st.lists(coordinates, min_size=d, max_size=d)
+    column = st.lists(norms, min_size=m, max_size=m)
+    gaps = draw(st.lists(st.integers(1, 1000), min_size=m - 1, max_size=m - 1))
+    cfg = SchemeConfig(
+        draw(st.sampled_from(SCHEMES)), theta=draw(st.floats(0.01, 0.99)), tol=draw(st.floats(1e-300, 1.0)),
+        max_iter=draw(st.integers(1, 10**6)), guard_domain=draw(st.booleans()), seed=draw(st.integers(0, 2**63)),
+    )
+    return IterationTrace(
+        step_indices=[0, *itertools.accumulate(gaps)],
+        iterates=[CoupledPair(draw(vector), draw(vector)) for _ in range(m)],
+        residuals=draw(column),
+        distances_to_target=draw(st.none() | column),
+        status=draw(st.sampled_from([CONVERGED, MAX_ITER_REACHED, DIVERGED_NONFINITE, LEFT_DOMAIN])),
+        scheme_config=cfg,
+        operator_name=draw(st.text(max_size=8)),
+        cycle_detected=draw(st.booleans()),
+    )
+
+
+def _edge_trace(distances):
+    return IterationTrace(
+        step_indices=[0, 1, 7],
+        iterates=[
+            CoupledPair([-0.0, 5e-324], [FLOAT_MAX, -FLOAT_MAX]),
+            CoupledPair([1e16, -1e16], [0.0, -5e-324]),
+            CoupledPair([0.1, 1.0 / 3.0], [-0.0, 1e-300]),
+        ],
+        residuals=[math.inf, 1e16, 5e-324],
+        distances_to_target=distances,
+        status=MAX_ITER_REACHED,
+        scheme_config=SchemeConfig(PICARD_DOUBLE, theta=0.5, max_iter=7),
+        operator_name="edges",
+    )
+
+
+@settings(deadline=None, max_examples=200)
+@given(drawn_traces())
+@example(_edge_trace([math.inf, FLOAT_MAX, 0.0]))
+@example(_edge_trace(None))
+def test_writers_match_the_reference_writers(trace):
+    assert trace_to_csv(trace) == reference_trace_to_csv(trace)
+    assert trace_to_json(trace) == reference_trace_to_json(trace)
 
 
 class TestJsonRejects:
@@ -489,15 +554,15 @@ def _pinned_trace(name):
     f = build()
     if target is None:
         target = f.known_coupled_fixed_points[0].x
-    guard = {"auto": None, "guard": True}[variant]
+    guard = {"false": False, "guard": True}[variant]
     cfg = SchemeConfig(scheme, theta=0.3, tol=1e-12, max_iter=3000, guard_domain=guard)
     return run_scheme(f, cfg, x0, y0, target)
 
 
 # First 16 hex digits of sha256(trace_to_json(trace)) for each run: every
-# scheme with guard auto and true on the three examples and the dyadic linear
-# operators at d = 1, 10 and 100 (theta 0.3, tol 1e-12, max_iter 3000, with a
-# target), and every scheme on three operators that break the engine's
+# scheme with guard_domain False and True on the three examples and the dyadic
+# linear operators at d = 1, 10 and 100 (theta 0.3, tol 1e-12, max_iter 3000,
+# with a target), and every scheme on three operators that break the engine's
 # assumptions. Recorded before the code they pin was simplified. Runs at
 # d >= 10 go through BLAS (matrix-vector products and dot products), so their
 # bits are those of the BLAS build they were recorded with.
@@ -508,41 +573,41 @@ PINNED_TRACE_DIGESTS = {
     "escaper/krasnoselskij_diagonal/plain": "a7313d12adacf088",  # left_domain 1
     "escaper/krasnoselskij_double/plain": "8634314ca745ec02",  # left_domain 1
     "escaper/picard_double/plain": "e51d124e4a4625d8",  # left_domain 1
-    "example_2_1/krasnoselskij_diagonal/auto": "30f19d9c2371d5b7",  # converged 54
+    "example_2_1/krasnoselskij_diagonal/false": "30f19d9c2371d5b7",  # converged 54
     "example_2_1/krasnoselskij_diagonal/guard": "f3b01c3f66a3d022",  # converged 54
-    "example_2_1/krasnoselskij_double/auto": "106a03ecbde4acbb",  # converged 51
+    "example_2_1/krasnoselskij_double/false": "106a03ecbde4acbb",  # converged 51
     "example_2_1/krasnoselskij_double/guard": "59f32e2b3efcd124",  # converged 51
-    "example_2_1/picard_double/auto": "4378eb17fde0dc4b",  # converged 24
+    "example_2_1/picard_double/false": "4378eb17fde0dc4b",  # converged 24
     "example_2_1/picard_double/guard": "6213134cbdcde198",  # converged 24
-    "example_2_2/krasnoselskij_diagonal/auto": "ef22fd48b13f6f4e",  # converged 43
+    "example_2_2/krasnoselskij_diagonal/false": "ef22fd48b13f6f4e",  # converged 43
     "example_2_2/krasnoselskij_diagonal/guard": "ef22fd48b13f6f4e",  # converged 43
-    "example_2_2/krasnoselskij_double/auto": "f73edbeaadb8be46",  # max_iter_reached 3000
+    "example_2_2/krasnoselskij_double/false": "f73edbeaadb8be46",  # max_iter_reached 3000
     "example_2_2/krasnoselskij_double/guard": "f73edbeaadb8be46",  # max_iter_reached 3000
-    "example_2_2/picard_double/auto": "160168b6de2f9943",  # converged 3
+    "example_2_2/picard_double/false": "160168b6de2f9943",  # converged 3
     "example_2_2/picard_double/guard": "160168b6de2f9943",  # converged 3
-    "example_4_1/krasnoselskij_diagonal/auto": "d75c90d2f5f44cad",  # converged 31
+    "example_4_1/krasnoselskij_diagonal/false": "d75c90d2f5f44cad",  # converged 31
     "example_4_1/krasnoselskij_diagonal/guard": "c6a28f70dd1c3525",  # converged 31
-    "example_4_1/krasnoselskij_double/auto": "34b17338ef6d4716",  # converged 77
+    "example_4_1/krasnoselskij_double/false": "34b17338ef6d4716",  # converged 77
     "example_4_1/krasnoselskij_double/guard": "b52f60ca6e40a586",  # converged 77
-    "example_4_1/picard_double/auto": "d59577f52c3a9551",  # max_iter_reached 3
+    "example_4_1/picard_double/false": "d59577f52c3a9551",  # max_iter_reached 3
     "example_4_1/picard_double/guard": "5eec14cf87fa037c",  # max_iter_reached 3
-    "linear_1/krasnoselskij_diagonal/auto": "8ecee11fbba3588d",  # converged 117
+    "linear_1/krasnoselskij_diagonal/false": "8ecee11fbba3588d",  # converged 117
     "linear_1/krasnoselskij_diagonal/guard": "09f59b17a0a79448",  # converged 117
-    "linear_1/krasnoselskij_double/auto": "493f125efb14694b",  # converged 117
+    "linear_1/krasnoselskij_double/false": "493f125efb14694b",  # converged 117
     "linear_1/krasnoselskij_double/guard": "fb1df0e510848856",  # converged 117
-    "linear_1/picard_double/auto": "cfdb039bbbdb3113",  # converged 68
+    "linear_1/picard_double/false": "cfdb039bbbdb3113",  # converged 68
     "linear_1/picard_double/guard": "7faed83cb529bee1",  # converged 68
-    "linear_10/krasnoselskij_diagonal/auto": "4083e6842b3722c1",  # converged 93
+    "linear_10/krasnoselskij_diagonal/false": "4083e6842b3722c1",  # converged 93
     "linear_10/krasnoselskij_diagonal/guard": "3d472fd7ea18cf4e",  # converged 93
-    "linear_10/krasnoselskij_double/auto": "cbc8a4ecb305b08e",  # converged 94
+    "linear_10/krasnoselskij_double/false": "cbc8a4ecb305b08e",  # converged 94
     "linear_10/krasnoselskij_double/guard": "d11702bde947e05b",  # converged 94
-    "linear_10/picard_double/auto": "cfd100b174e61c0d",  # converged 15
+    "linear_10/picard_double/false": "cfd100b174e61c0d",  # converged 15
     "linear_10/picard_double/guard": "9d983a58e2bee614",  # converged 15
-    "linear_100/krasnoselskij_diagonal/auto": "466a63058ecdcd33",  # converged 86
+    "linear_100/krasnoselskij_diagonal/false": "466a63058ecdcd33",  # converged 86
     "linear_100/krasnoselskij_diagonal/guard": "eaedffe140818b29",  # converged 86
-    "linear_100/krasnoselskij_double/auto": "32be245b6d77172e",  # converged 86
+    "linear_100/krasnoselskij_double/false": "32be245b6d77172e",  # converged 86
     "linear_100/krasnoselskij_double/guard": "acec12283ae3c28e",  # converged 86
-    "linear_100/picard_double/auto": "7bfe4266e8da3693",  # converged 10
+    "linear_100/picard_double/false": "7bfe4266e8da3693",  # converged 10
     "linear_100/picard_double/guard": "8ce91da0d188ebda",  # converged 10
     "undefined_outside/krasnoselskij_diagonal/plain": "8bc893e89fedb225",  # left_domain 1
     "undefined_outside/krasnoselskij_double/plain": "a962cabb8372947f",  # left_domain 1
