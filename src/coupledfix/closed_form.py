@@ -38,12 +38,13 @@ so its pair iterates converge to ((x0-y0)/2, (y0-x0)/2), which is (0, 0)
 only when x0 = y0. Acceptance criterion 3 checks the engine against this
 formula.
 
-Powers are accumulated by repeated multiplication (not ``pow``), one
-``np.multiply.accumulate`` over the step weights, so the oracle's rounding
-path stays close to the engine's. ``oracle_trace`` evaluates the formulas
-for all n at once, as one block of x rows and one of y rows, and gives
-the same bits as ``oracle_iterate`` at each n; row 0 is the initial pair
-exactly.
+Powers are accumulated by repeated multiplication (not ``pow``), so the
+oracle's rounding path stays close to the engine's: ``oracle_iterate`` in a
+scalar loop, ``oracle_trace`` with one ``np.multiply.accumulate`` over the
+step weights, which multiplies in the same order. ``oracle_trace``
+evaluates the formulas for all n at once, as one block of x rows and one of
+y rows, and gives the same bits as ``oracle_iterate`` at each n; row 0 is
+the initial pair exactly.
 """
 
 from __future__ import annotations
@@ -114,13 +115,17 @@ class OracleHandle:
             object.__setattr__(self, "lam", lam)
 
 
-def _powers(h: OracleHandle, n_max: int) -> np.ndarray:
-    # Rows p_slow and p_fast for n = 0..n_max: running products of the difference and
-    # sum weights. accumulate multiplies in order, once per step, as a loop would.
+def _weights(h: OracleHandle) -> tuple[float, float]:
+    # The difference and sum weights: p_slow and p_fast at n are their n-th powers.
     if h.kind == PICARD_EXAMPLE_2_1:
-        slow, fast = 1.0, -1.0 / 3.0
-    else:
-        slow, fast = 1.0 - h.lam, 1.0 - 2.0 * h.lam
+        return 1.0, -1.0 / 3.0
+    return 1.0 - h.lam, 1.0 - 2.0 * h.lam
+
+
+def _powers(h: OracleHandle, n_max: int) -> np.ndarray:
+    # Rows p_slow and p_fast for n = 0..n_max: running products of the weights.
+    # accumulate multiplies in order, once per step, as oracle_iterate's loop does.
+    slow, fast = _weights(h)
     factors = np.empty((2, n_max + 1))
     factors[:, 0] = 1.0
     factors[0, 1:], factors[1, 1:] = slow, fast
@@ -135,7 +140,12 @@ def oracle_iterate(h: OracleHandle, n: int) -> CoupledPair:
     # CoupledPair copies both components, so the pair never aliases h.
     if n == 0:
         return CoupledPair(h.x0, h.x0 if h.y0 is None else h.y0)
-    p_slow, p_fast = _powers(h, n)[:, -1].tolist()
+    # A scalar loop, not _powers' block, so a single iterate takes O(1) memory.
+    slow, fast = _weights(h)
+    p_slow = p_fast = 1.0
+    for _ in range(n):
+        p_slow *= slow
+        p_fast *= fast
     if h.kind == KRASNOSELSKIJ_EXAMPLE_4_1:
         x = p_fast * h.x0
         return CoupledPair(x, x)

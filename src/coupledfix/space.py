@@ -204,9 +204,9 @@ class Box:
         return np.array_equal(self.lower, other.lower) and np.array_equal(self.upper, other.upper)
 
 
-def _clamp(v: np.ndarray, box: Box, out: np.ndarray | None = None) -> np.ndarray:
+def _clamp(v: np.ndarray, box: Box) -> np.ndarray:
     # The one clamp rule, for a checked vector or a block of rows such as the engine's (2, d) pair.
-    return np.minimum(np.maximum(v, box.lower, out=out), box.upper, out=out)
+    return np.minimum(np.maximum(v, box.lower), box.upper)
 
 
 def project_box(x, box: Box) -> np.ndarray:

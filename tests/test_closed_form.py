@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,18 @@ class TestOracleTraceBlocks:
         tr = oracle_trace(h, 5000)
         assert len(tr) == 5001
         assert _hexes(tr) == _hexes(oracle_iterate(h, n) for n in range(5001))
+
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
+    def test_a_single_iterate_takes_constant_memory(self, kind):
+        # A block of powers up to n would take 2 (n + 1) doubles, 1.6 MB here.
+        h = BLOCK_HANDLES[kind]()
+        tracemalloc.start()
+        try:
+            oracle_iterate(h, 100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     @pytest.mark.parametrize("name", sorted(BLOCK_HANDLES))
     def test_a_write_into_one_x_changes_nothing_else(self, name):

@@ -422,6 +422,26 @@ class TestDomainHandling:
         assert [v.hex() for v in (*tr.final_pair.x.tolist(), *tr.final_pair.y.tolist())] == [x.hex(), y.hex()]
         assert tr.final_residual == max(abs(x - 0.9), abs(y - 0.9))
 
+    @pytest.mark.parametrize("scheme", iteration_mod.SCHEMES)
+    def test_nonfinite_first_image_then_wrong_shape_propagates(self, scheme):
+        # Step 1's F(x, y) is NaN and its F(y, x) has the wrong shape. Both calls run before
+        # the images are counted, so the shape error propagates rather than ending the run.
+        calls = []
+
+        def evaluator(x, y):
+            calls.append(None)
+            if len(calls) == 3:
+                return np.array([np.nan])
+            return np.zeros(2) if len(calls) == 4 else 0.5 * x
+
+        f = BivariateOperator(
+            name="nan_then_wrong_shape", domain=Box([-1.0], [1.0]), evaluator=evaluator, range_in_domain=True
+        )
+        message = "^" + re.escape("operator 'nan_then_wrong_shape' returned shape (2,), expected (1,)") + "$"
+        with pytest.raises(OutputDimensionError, match=message):
+            run_scheme(f, cfg(scheme, theta=0.5, max_iter=50), [0.5], [0.25])
+        assert len(calls) == 4
+
     def test_nonfinite_step_diverges(self):
         f = BivariateOperator(
             name="blowup",
@@ -886,7 +906,25 @@ class TestResidualDecay:
         assert set(tr.residuals) == {1.5}
         report = verify_residual_decay(tr)
         assert not report.passed
-        assert report.check("tail_median_below_head_median").detail == "head=1.500e+00 tail=1.500e+00 floor=2.000e-12"
+        assert report.check("tail_median_below_head_median").detail == "head=1.500e+00 tail=1.500e+00"
+
+    @pytest.mark.parametrize("x0, max_iter", [(1e-140, 100), (1e-20, 300)])
+    def test_growing_residuals_fail(self, x0, max_iter):
+        # Unguarded, theta 0.5 and F = 21 x make each step x -> 11 x, so the residual 20 |x|
+        # grows by 11 a step. From 1e-140 the whole run stays below 1e-12; from 1e-20 it
+        # ends near 1e292, and its tail, 11**-15 of the final pair, is below 1e-12 of it.
+        # A tail above its head fails either way.
+        f = BivariateOperator(
+            name="times_21",
+            domain=Box([-FLOAT_MAX], [FLOAT_MAX]),
+            evaluator=lambda x, y: 21.0 * x,
+            range_in_domain=True,
+        )
+        tr = krasnoselskij_diagonal(f, [x0], cfg(KRASNOSELSKIJ_DIAGONAL, theta=0.5, tol=1e-300, max_iter=max_iter))
+        assert tr.status == MAX_ITER_REACHED and np.all(np.diff(tr.residuals) > 0)
+        report = verify_residual_decay(tr)
+        assert not report.passed
+        assert report.check("tail_median_below_head_median").worst_violation > 0.0
 
     def test_residuals_that_start_at_inf(self):
         # ||F(x, x) - x|| = 2|x| overflows while |x| > M / 2, so the residuals start inf, inf, inf.
