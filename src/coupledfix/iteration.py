@@ -44,13 +44,13 @@ A run checks its inputs once, at entry. The loop then carries the pair as one
   ``eval``'s checked entry, which checks only the shape of the image: the
   rows are finite rows of shape (d,), since the starting pair was checked
   at entry and each later pair is a relaxed combination of finite rows, a
-  clamp, or images counted finite. The loop counts the finite entries of
-  ``fz`` once; a non-finite image ends the run (or raises
-  ``NonFiniteEvaluationError`` at the starting pair). ``F(y, x)`` is called
-  even when ``F(x, y)`` is not finite, so an exception it raises, such as
-  ``OutputDimensionError``, propagates;
-- takes the residual from the larger of the two squared row norms of
-  ``z - fz``, with one square root (the same bits as the larger root);
+  clamp, or images found finite. ``F(y, x)`` is called even when ``F(x, y)``
+  is not finite, so an exception it raises, such as ``OutputDimensionError``,
+  propagates;
+- takes the residual, the larger row norm of ``z - fz`` (one square root when
+  both squares are in ``space``'s range). Only a residual that is not finite
+  makes the loop count the finite entries of ``fz``: a non-finite image ends
+  the run, or raises ``NonFiniteEvaluationError`` at the starting pair;
 - for Picard, scales ``z`` once for the 2-cycle test, which reads the
   scaled pairs of the last three steps and takes their six norms from one
   stacked block;
@@ -220,10 +220,7 @@ def _is_two_cycle(sz: np.ndarray, sprev: np.ndarray, sprev2: np.ndarray, s: floa
     # iterates are near the limit). Scaling by s is exact away from subnormals,
     # so no decision changes, and it keeps every difference, norm and scale
     # below the float maximum: each norm is at most s * 2 sqrt(d) * max <= max / sqrt(d).
-    block = np.concatenate((sz, sprev2, sz - sprev2))
-    sq = np.vecdot(block, block).tolist()
-    # The root of each square is _norm's value; an overflowed square needs _norm's scaling.
-    nx, ny, nqx, nqy, ndx, ndy = _row_norms(block).tolist() if math.inf in sq else map(math.sqrt, sq)
+    nx, ny, nqx, nqy, ndx, ndy = _row_norms(np.concatenate((sz, sprev2, sz - sprev2))).tolist()
     sx = s + nx + nqx
     sy = s + ny + nqy
     if ndx > _CYCLE_RTOL * sx or ndy > _CYCLE_RTOL * sy:
@@ -231,8 +228,8 @@ def _is_two_cycle(sz: np.ndarray, sprev: np.ndarray, sprev2: np.ndarray, s: floa
     return _max_row_norm(sprev - sprev2) > _CYCLE_MIN_AMPLITUDE * max(sx, sy)
 
 
-# Every overflow in a run ends in a status or in _norm's finite fallback, so
-# numpy's warnings about it would say nothing the trace does not.
+# Every overflow in a run ends in a status or in _norm's scaled path for squares
+# out of range, so numpy's warnings about it would say nothing the trace does not.
 @np.errstate(over="ignore", invalid="ignore")
 def _run_loop(
     f: BivariateOperator,
@@ -293,7 +290,8 @@ def _run_loop(
         # arguments changes neither z nor the other call's rows.
         q = z.take(_XYYX, axis=0)
         fz = np.array((evaluate(q[0], q[1], _checked=True), evaluate(q[2], q[3], _checked=True)))
-        if _count_nonzero(np.isfinite(fz)) != fz.size:
+        rn = _max_row_norm(z - fz)  # inf or NaN if fz is not finite, or if z - fz overflowed
+        if not rn < math.inf and _count_nonzero(np.isfinite(fz)) != fz.size:
             if prev is None:
                 # Broken at the starting pair: nothing sane to trace.
                 raise NonFiniteEvaluationError(f"operator {f.name!r} returned non-finite output")
@@ -304,7 +302,7 @@ def _run_loop(
             if n % stride == 0:  # thinning already kept that pair
                 continue
         else:
-            r = _max_row_norm(z - fz)
+            r = rn
             if picard:
                 sz = s * z
             if escaped:
@@ -447,8 +445,8 @@ def verify_fejer_monotonicity(trace: IterationTrace, p) -> DiagnosticReport:
     inequalities hold there. A term that is not finite (a distance or
     residual past about 1.3e154 overflows once squared) cannot be checked:
     it counts as a violation of inf, and the check's ``detail`` says how
-    many there were. Raises for traces not produced by a relaxed
-    (Krasnoselskij-type) scheme.
+    many there were; so the distances are squared here, not scaled as ``space`` does.
+    Raises for traces not produced by a relaxed (Krasnoselskij-type) scheme.
     """
     cfg = trace.scheme_config
     if cfg.scheme not in (KRASNOSELSKIJ_DIAGONAL, KRASNOSELSKIJ_DOUBLE):

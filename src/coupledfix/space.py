@@ -3,7 +3,9 @@
 Vectors are 1-D float64 numpy arrays. Every public operation validates
 dimensions and rejects non-finite coordinates; mismatched dimensions are
 hard errors, never broadcast. Domains are boxes (products of closed
-intervals), which are bounded, closed and convex by construction.
+intervals), which are bounded, closed and convex by construction. A norm is the
+root of its square in [2**-968, inf); any other nonzero vector is first divided by its
+largest |coordinate|, so a norm reads 0 only for 0, and inf only past the float maximum.
 """
 
 from __future__ import annotations
@@ -83,37 +85,40 @@ def inner(x, y) -> float:
     return float(np.dot(xv, yv))
 
 
+def _trusted(sq):
+    """Whether squares (a float or an array) lie in [2**-968, inf): for d <= 2**54 their largest term is normal."""
+    return (sq >= 2.0**-968) & (sq < math.inf)
+
+
 def _norm(v: np.ndarray) -> float:
     sq = float(np.dot(v, v))
-    if sq == math.inf:
-        # The square overflowed (the norm exceeds about 1.3e154): scale by
-        # the largest coordinate first. Finite squares keep sqrt(dot) bits.
-        scale = float(np.abs(v).max())
-        if scale == math.inf:
-            return math.inf
-        w = v / scale
-        return scale * math.sqrt(float(np.dot(w, w)))
-    return math.sqrt(sq)
+    if _trusted(sq):
+        return math.sqrt(sq)
+    scale = float(np.abs(v).max())  # out of range: divide by the largest |coordinate| first
+    if not 0.0 < scale < math.inf:  # a zero, infinite or NaN row
+        return scale
+    w = v / scale
+    return scale * math.sqrt(float(np.dot(w, w)))
 
 
 def _max_row_norm(v: np.ndarray) -> float:
-    """``max(_norm(v[0]), _norm(v[1]))`` of a (2, d) block, bit for bit, with one square root:
-    sqrt is monotone and correctly rounded, so the root of the larger square is the larger root."""
+    """``max(_norm(v[0]), _norm(v[1]))`` of a (2, d) block, bit for bit, NaN if either is. With both
+    squares in range one root does: sqrt is monotone and correctly rounded, so it keeps the larger."""
     sx, sy = np.vecdot(v, v).tolist()
-    sq = sx if sx >= sy else sy
-    if sq == math.inf:  # a square overflowed: _norm scales
-        return max(_norm(v[0]), _norm(v[1]))
-    return math.sqrt(sq)
+    if _trusted(sx) and _trusted(sy) or not _count_nonzero(v):  # both squares in range, or both rows zero
+        return math.sqrt(sx if sx >= sy else sy)
+    return float(_row_norms(v).max())  # ndarray.max keeps a NaN, where sx >= sy would drop one
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
     """``_norm`` of each row of an (n, d) block, bit for bit."""
-    with np.errstate(over="ignore"):  # an overflowed square is redone by _norm, which scales
+    with np.errstate(over="ignore"):  # a square out of range is redone by _norm
         sq = np.vecdot(v, v)
         norms = np.sqrt(sq)
-        big = sq == np.inf
-        if _count_nonzero(big):  # one C call; .any() goes through Python
-            norms[big] = [_norm(row) for row in v[big]]
+        ok = _trusted(sq)
+        if _count_nonzero(ok) != ok.size and _count_nonzero(v[~ok]):  # C counts; .any() goes through Python
+            for i in (~ok & v.any(axis=1)).nonzero()[0].tolist():  # an all-zero row keeps its 0.0
+                norms[i] = _norm(v[i])
     return norms
 
 

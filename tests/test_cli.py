@@ -492,6 +492,11 @@ class TestValueGrammar:
         assert run_cli("run", "--operator", "example_4_1", "--x0", literal) == 1
         assert capsys.readouterr().err.startswith("error: x0: malformed array literal '[[[")
 
+    @pytest.mark.parametrize("fmt, spelling", [("json", '"x": [-0]'), ("csv", "\n0,-0,-0,")], ids=["json", "csv"])
+    def test_negative_zero_start_keeps_its_sign(self, capsys, fmt, spelling):
+        assert run_cli("run", "--operator", "example_4_1", "--x0", "[-0]", "--max-iter", "1", "--format", fmt) == 0
+        assert spelling in capsys.readouterr().out
+
     def test_ragged_array_names_its_key(self, capsys):
         assert run_cli("run", "--operator", "example_4_1", "--x0", "[[1, 2], [3]]") == 1
         err = capsys.readouterr().err
@@ -618,6 +623,13 @@ class TestSweep:
         assert all(r[3] == "converged" for r in rows)
         # Rows come out ordered by theta.
         assert [float(r[0]) for r in rows] == sorted(iters)
+
+    def test_each_run_clamps_where_the_map_leaves_its_box(self, capsys):
+        # example_2_2 does not map its box into itself, so every run of the sweep is guarded.
+        assert run_cli("sweep", "--operator", "example_2_2", "--x0", "[3]", "--thetas", "0.1,0.3") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "theta,iterations,final_residual,status"
+        assert len(lines) == 3 and all(line.endswith(",converged") for line in lines[1:])
 
     def test_single_theta_matches_run(self, capsys):
         code = run_cli(
@@ -787,6 +799,17 @@ class TestReusedParser:
         assert (second["operator"], second["samples_used"], second["seed"]) == ("example_4_1", 150, 3)
 
 
+HUGE_SLOPE = "operator = linear\na_matrix = [[1e308]]\nb_matrix = [[0]]\nshift = [0]\n"
+WIDE_BOX = (
+    "operator = linear\na_matrix = [[0.5, 0], [0, 0.25]]\nb_matrix = [[0.25, 0], [0, 0.5]]\n"
+    "shift = [0, 0]\nlower = [-1e200, -1e200]\nupper = [1e200, 1e200]\n"
+)
+
+
+def refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 class TestConsoleEntryPoint:
     def test_module_invocation(self):
         import subprocess
@@ -799,6 +822,39 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0
         assert "example_4_1" in proc.stdout
+
+    # A separate process, without the suite's warning filter, so that a numpy warning or
+    # a traceback would reach stderr as a user sees it. "{file}" is the problem file,
+    # "{dir}" a directory that does not exist.
+    @pytest.mark.parametrize(
+        "argv, problem, code, err_start",
+        [
+            (("run", "--operator", "example_4_1", "--x0", "[1]", "--out", "{dir}/t.json"), None, 1, "error: out: "),
+            (("run", "--operator", "example_4_1", "--x0", "[[1,2],[3]]"), None, 1, "error: x0 "),
+            (("run", "--operator", "example_4_1", "--x0", "[1]", "--theta", ".5"), None, 1, "error: theta: "),
+            # The range bound 1e308 * 1e308 overflows, and so does F at the start.
+            (("run", "--problem", "{file}"), HUGE_SLOPE + "lower = [-1e308]\nupper = [1e308]\nx0 = [10]\n", 1,
+             "error: operator 'linear' returned non-finite output"),
+            # The box's diameter squared overflows.
+            (("analyze", "--problem", "{file}", "--samples", "50", "--seed", "1"), WIDE_BOX, 0, ""),
+            # Image differences overflow, so ratios are infinite: the report writes them 1e999.
+            (("analyze", "--problem", "{file}", "--samples", "50", "--seed", "1"), HUGE_SLOPE + "lower = [-1]\nupper = [1]\n", 0, ""),
+        ],
+        ids=["unwritable_out", "ragged_x0", "bare_decimal_theta", "overflowing_range_bound", "wide_box", "overflowing_images"],
+    )
+    def test_stderr_has_no_warning_or_traceback(self, tmp_path, argv, problem, code, err_start):
+        import subprocess
+        import sys
+
+        if problem is not None:
+            (tmp_path / "problem.txt").write_text(problem)
+        args = [arg.format(file=tmp_path / "problem.txt", dir=tmp_path / "missing") for arg in argv]
+        proc = subprocess.run([sys.executable, "-m", "coupledfix.cli", *args], capture_output=True, text=True)
+        assert proc.returncode == code
+        assert proc.stderr.startswith(err_start) and proc.stderr.count("\n") == (code == 1)
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+        if code == 0:
+            json.loads(proc.stdout, parse_constant=refuse_constant)
 
 
 # ---------------------------------------------------------------- pinned output

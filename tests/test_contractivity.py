@@ -118,6 +118,15 @@ class TestEstimateConstants:
         for w in report.violations:
             assert witness_ratio(f, w) == w.ratio
 
+    def test_ratios_whose_squares_underflow(self):
+        # The image differences of A = diag(1e-170, 0) have squares near 1e-340, below the
+        # float range; B = 0 makes every second-argument difference an all-zero row.
+        f = make_linear_operator([[1e-170, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0],
+                                 Box([-1.0, -1.0], [1.0, 1.0]))
+        report = analyze_operator(f, 200, 1)
+        assert 0.0 < report.a_hat <= 1e-170
+        assert report.b_hat == 0.0
+
     def test_axis_witnesses_reproduce_hats(self):
         f = get_operator("example_2_2")
         report = estimate_constants(f, 2_000, seed=7)

@@ -183,6 +183,18 @@ class TestDiagonalScheme:
         assert tr.step_indices == [0]
         assert tr.residuals == [0.0]
 
+    def test_residual_whose_square_underflows_does_not_converge(self):
+        # F = 21 x: the residual at 1e-300 is 2e-299, whose square underflows to 0.
+        f = BivariateOperator(
+            name="times_21",
+            domain=Box([-FLOAT_MAX], [FLOAT_MAX]),
+            evaluator=lambda x, y: 21.0 * x,
+            range_in_domain=True,
+        )
+        tr = krasnoselskij_diagonal(f, [1e-300], cfg(KRASNOSELSKIJ_DIAGONAL, theta=0.5, tol=1e-320, max_iter=50))
+        assert tr.status == MAX_ITER_REACHED
+        assert tr.residuals[0] == abs(1e-300 - 21.0 * 1e-300)
+
     def test_converged_pair_is_coupled_fixed_point(self):
         rng = np.random.default_rng(23)
         for _ in range(5):
@@ -422,6 +434,19 @@ class TestDomainHandling:
         assert [v.hex() for v in (*tr.final_pair.x.tolist(), *tr.final_pair.y.tolist())] == [x.hex(), y.hex()]
         assert tr.final_residual == max(abs(x - 0.9), abs(y - 0.9))
 
+    def test_nonfinite_first_image_ends_the_run_at_the_pair_before(self):
+        # The mirror of the test above: from (0, -1), x passes 0.5 at step 3 while y does not,
+        # so F(x, y) is NaN and F(y, x) is finite. The residual's NaN row must not be dropped.
+        f = BivariateOperator(
+            name="nan_above_half",
+            domain=Box([-1.0], [1.0]),
+            evaluator=lambda x, y: np.where(x > 0.5, np.nan, 0.9),
+            range_in_domain=True,
+        )
+        tr = krasnoselskij_double(f, [0.0], [-1.0], cfg(KRASNOSELSKIJ_DOUBLE, theta=0.3, max_iter=50))
+        assert (tr.status, tr.n_steps, tr.step_indices) == (DIVERGED_NONFINITE, 2, [0, 1, 2])
+        assert np.isfinite(tr.residuals).all()
+
     @pytest.mark.parametrize("scheme", iteration_mod.SCHEMES)
     def test_nonfinite_first_image_then_wrong_shape_propagates(self, scheme):
         # Step 1's F(x, y) is NaN and its F(y, x) has the wrong shape. Both calls run before
@@ -551,6 +576,7 @@ class TestTraceMechanics:
         assert tr.status == DIVERGED_NONFINITE
         assert tr.n_steps == 1022
         assert tr.final_pair.x[0] == 2.0**1022
+        assert tr.final_residual == 2.0**1022  # that pair's own residual, |2**1022 - 2**1023|
         assert tr.step_indices[:-1] == list(range(0, 1022, 101))
 
     def test_thinned_nonfinite_exit_keeps_the_distance_of_the_restored_pair(self, monkeypatch):

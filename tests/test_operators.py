@@ -217,6 +217,11 @@ class TestIsCoupledFixedPoint:
         f = BivariateOperator(name="negation", domain=Box([-big], [big]), evaluator=lambda x, y: -x)
         assert not is_coupled_fixed_point(f, CoupledPair([1.7e308], [0.0]), 1e-10)
 
+    def test_residual_whose_square_underflows_is_not_fixed(self):
+        # F(x, y) = x / 2: the residual at 2e-300 is 1e-300, whose square underflows to 0.
+        f = make_linear_operator([[0.5]], [[0.0]], [0.0], Box([-1.0], [1.0]))
+        assert not is_coupled_fixed_point(f, CoupledPair([2e-300], [2e-300]), 1e-305)
+
     def test_all_known_points_validate(self):
         for name in operator_names():
             f = get_operator(name)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,21 +79,46 @@ class TestNorm:
         from coupledfix.space import _norm, _row_norms
 
         rng = np.random.default_rng(5)
+        scales = [0.0, 5e-324, 1e-310, 1e-300, 1e-170, 1e-160, 1.0, 1e100, 1e160, 1e300]
         for d in (1, 2, 3, 10, 100, 257):
-            rows = rng.standard_normal((200, d)) * rng.choice([1e-160, 1.0, 1e100, 1e160, 1e300], size=(200, 1))
+            # Most rows take one scale (all-zero, subnormal, tiny, ..., huge); one row in four
+            # takes a scale per coordinate, so it mixes them.
+            mixed = rng.random((200, 1)) < 0.25
+            scale = np.where(mixed, rng.choice(scales, size=(200, d)), rng.choice(scales, size=(200, 1)))
+            rows = rng.standard_normal((200, d)) * scale
             got = _row_norms(rows)
             assert got.shape == (200,)
             assert [v.hex() for v in got.tolist()] == [_norm(r).hex() for r in rows]
 
+    def test_agrees_with_hypot_over_the_whole_exponent_range(self):
+        # Coordinates from the subnormals to about 2**1000, within a vector either of one
+        # scale or of scales up to 2**100 apart: squares that underflow, overflow or neither.
+        rng = np.random.default_rng(11)
+        for d in (1, 2, 3, 10, 100):
+            for _ in range(300):
+                top = int(rng.integers(-1074, 1000))
+                spread = int(rng.choice([0, 4, 100]))
+                v = np.ldexp(rng.uniform(-1.0, 1.0, d), top - rng.integers(0, spread + 1, size=d))
+                want = math.hypot(*v.tolist())
+                assert abs(norm(v) - want) <= 2 * math.ulp(want), (v.tolist(), norm(v), want)
+
+    def test_in_range_squares_keep_the_bits_of_sqrt_dot(self):
+        # A square in [2**-968, inf) is not scaled: the norm is sqrt(dot(v, v)), bit for bit.
+        from coupledfix.space import _max_row_norm, _norm
+
+        rng = np.random.default_rng(12)
+        for d in (1, 2, 3, 10, 100):
+            for _ in range(300):
+                signs = rng.choice([-1.0, 1.0], size=(2, d))
+                block = np.ldexp(signs * rng.uniform(0.5, 1.0, (2, d)), rng.integers(-480, 508, size=(2, 1)))
+                roots = [math.sqrt(float(np.dot(row, row))) for row in block]
+                assert [_norm(row) for row in block] == roots
+                assert _max_row_norm(block) == max(roots)
+
     @given(vectors())
     def test_zero_iff_zero(self, x):
-        # Squaring underflows below ~1e-154, the double-precision floor.
-        if norm(x) == 0.0:
-            assert np.abs(x).max() < 1e-150
-        else:
-            assert not (x == 0).all()
-        if (x == 0).all():
-            assert norm(x) == 0.0
+        # A square that underflows is scaled first, so only the zero vector has norm 0.
+        assert (norm(x) == 0.0) == bool((x == 0).all())
 
 
 class TestConvexCombination:
