@@ -56,7 +56,7 @@ from . import iteration
 from .contractivity import analyze_operator, report_to_json
 from .iteration import SchemeConfig, run_scheme
 from .operators import get_operator, make_linear_operator, operator_names
-from .space import Box
+from .space import Box, _as_tol
 from .trace_io import _DECODER, _NUMBERS, format_float, trace_to_csv, trace_to_json
 
 __all__ = ["main", "parse_problem_file", "DEFAULT_TOL_ENV"]
@@ -123,7 +123,7 @@ def _number(text: str, arrays: bool = False):
 
 def _guard_word(text: str):
     if text.lower() not in _GUARD_WORDS:
-        raise CliError(f"expected true, false or auto, got {text!r}")
+        raise CliError(f"expected true, false, auto or none, got {text!r}")
     return _GUARD_WORDS[text.lower()]
 
 
@@ -200,12 +200,12 @@ def parse_problem_file(path: str) -> dict:
 
 
 def _env_tol() -> dict:
-    """``tol`` from COUPLEDFIX_DEFAULT_TOL when it is set, checked by ``SchemeConfig``."""
+    """``tol`` from COUPLEDFIX_DEFAULT_TOL when it is set, checked by the one tolerance rule."""
     text = os.environ.get(DEFAULT_TOL_ENV)
     if text is None:
         return {}
     try:
-        return {"tol": SchemeConfig(iteration.PICARD_DOUBLE, tol=_parse_value("tol", text)).tol}
+        return {"tol": _as_tol(_parse_value("tol", text))}
     except ValueError as exc:
         raise CliError(f"{DEFAULT_TOL_ENV}: {exc}") from None
 

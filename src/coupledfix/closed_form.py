@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import CoupledPair
-from .space import _as_number, as_vector
+from .space import _as_count, _as_number, as_vector
 
 __all__ = [
     "PICARD_EXAMPLE_2_1",
@@ -134,9 +134,7 @@ def _powers(h: OracleHandle, n_max: int) -> np.ndarray:
 
 def oracle_iterate(h: OracleHandle, n: int) -> CoupledPair:
     """The n-th iterate pair of the formula; n = 0 returns the initial values exactly."""
-    n = _as_number(n, "n", int)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n = _as_count(n, "n", 0)
     # CoupledPair copies both components, so the pair never aliases h.
     if n == 0:
         return CoupledPair(h.x0, h.x0 if h.y0 is None else h.y0)
@@ -156,9 +154,7 @@ def oracle_iterate(h: OracleHandle, n: int) -> CoupledPair:
 
 def oracle_trace(h: OracleHandle, n_max: int) -> list[CoupledPair]:
     """Iterates 0..n_max inclusive, bit-identical to per-index ``oracle_iterate`` calls."""
-    n_max = _as_number(n_max, "n_max", int)
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    n_max = _as_count(n_max, "n_max", 0)
     # The formulas of oracle_iterate, a (n_max + 1, d) block each: row n is pair n.
     p_slow, p_fast = _powers(h, n_max)[:, :, None]
     if h.kind == KRASNOSELSKIJ_EXAMPLE_4_1:

@@ -70,7 +70,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .operators import BivariateOperator, CoupledPair, NonFiniteEvaluationError
-from .space import _as_number, _clamp, _count_nonzero, _max_row_norm, _row_norms, as_vector
+from .space import _as_count, _as_number, _as_tol, _clamp, _count_nonzero, _max_row_norm, _row_norms, as_vector
 from .space import project_box  # noqa: F401 (perfbench/tracing.py wraps it here)
 
 __all__ = [
@@ -150,12 +150,8 @@ class SchemeConfig:
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
         if not math.isfinite(self.theta):  # picard_double ignores it, but its trace JSON carries it
             raise ValueError(f"theta must be finite, got {self.theta}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.tol == math.inf:
-            raise ValueError(f"tol must be finite, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        _as_tol(self.tol)
+        _as_count(self.max_iter, "max_iter", 1)
 
 
 @dataclass
@@ -228,7 +224,7 @@ def _is_two_cycle(sz: np.ndarray, sprev: np.ndarray, sprev2: np.ndarray, s: floa
     return _max_row_norm(sprev - sprev2) > _CYCLE_MIN_AMPLITUDE * max(sx, sy)
 
 
-# Every overflow in a run ends in a status or in _norm's scaled path for squares
+# Every overflow in a run ends in a status or in _row_norms' scaled path for squares
 # out of range, so numpy's warnings about it would say nothing the trace does not.
 @np.errstate(over="ignore", invalid="ignore")
 def _run_loop(

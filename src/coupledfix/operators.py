@@ -31,13 +31,12 @@ instances are safe for concurrent use.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .space import Box, _as_array, _as_number, _count_nonzero, as_vector, norm
+from .space import Box, _as_array, _as_tol, _count_nonzero, as_vector, norm
 
 __all__ = [
     "NonFiniteEvaluationError",
@@ -177,11 +176,7 @@ def is_coupled_fixed_point(f: BivariateOperator, pair: CoupledPair, tol: float) 
     A difference that overflows is a residual of inf, as the engine records
     it, so the answer is then False.
     """
-    tol = _as_number(tol, "tol")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if tol == math.inf:
-        raise ValueError(f"tol must be finite, got {tol}")
+    tol = _as_tol(tol)
     fx, fy = f.eval(pair.x, pair.y), f.eval(pair.y, pair.x)
     with np.errstate(over="ignore"):
         dx, dy = fx - pair.x, fy - pair.y

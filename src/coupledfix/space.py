@@ -6,6 +6,8 @@ hard errors, never broadcast. Domains are boxes (products of closed
 intervals), which are bounded, closed and convex by construction. A norm is the
 root of its square in [2**-968, inf); any other nonzero vector is first divided by its
 largest |coordinate|, so a norm reads 0 only for 0, and inf only past the float maximum.
+That scaled path is one array pass, ``_row_norms``; the count, tolerance and weight
+rules are one function each (``_as_count``, ``_as_tol``, ``_as_lam``), for every module.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 # count_nonzero without np.count_nonzero's Python wrapper: on a 2-CPU Xeon VM
 # (Python 3.11, numpy 2.4) a count of 2 to 200 flags takes about 0.1 us this
-# way and 0.33 us through the wrapper, and an unguarded engine step counts six times.
+# way and 0.33 us through the wrapper, and an unguarded engine step counts twice (its escape test).
 try:
     from numpy._core.multiarray import count_nonzero as _count_nonzero
 except ImportError:  # pragma: no cover - a numpy that moved it
@@ -72,6 +74,31 @@ def _as_number(value, name: str, kind: type = float):
     return typed
 
 
+def _as_count(value, name: str, least: int) -> int:
+    """``value`` as an int of at least ``least``; the one count rule."""
+    count = _as_number(value, name, int)
+    if count < least:
+        raise ValueError(f"{name} must be >= {least}, got {count}")
+    return count
+
+
+def _as_tol(value) -> float:
+    """``value`` as a positive finite float; the one tolerance rule (NaN is not positive)."""
+    tol = _as_number(value, "tol")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if tol == math.inf:
+        raise ValueError(f"tol must be finite, got {tol}")
+    return tol
+
+
+def _as_lam(value) -> float:
+    lam = _as_number(value, "lam")
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
+    return lam
+
+
 def _require_same_dim(a: np.ndarray, b: np.ndarray, what: str) -> None:
     if a.shape[0] != b.shape[0]:
         raise ValueError(f"dimension mismatch in {what}: {a.shape[0]} vs {b.shape[0]}")
@@ -92,13 +119,7 @@ def _trusted(sq):
 
 def _norm(v: np.ndarray) -> float:
     sq = float(np.dot(v, v))
-    if _trusted(sq):
-        return math.sqrt(sq)
-    scale = float(np.abs(v).max())  # out of range: divide by the largest |coordinate| first
-    if not 0.0 < scale < math.inf:  # a zero, infinite or NaN row
-        return scale
-    w = v / scale
-    return scale * math.sqrt(float(np.dot(w, w)))
+    return math.sqrt(sq) if _trusted(sq) else float(_row_norms(v[None])[0])
 
 
 def _max_row_norm(v: np.ndarray) -> float:
@@ -111,18 +132,21 @@ def _max_row_norm(v: np.ndarray) -> float:
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
-    """``_norm`` of each row of an (n, d) block, bit for bit."""
-    with np.errstate(over="ignore"):  # a square out of range is redone by _norm
+    """The norm of each row of an (n, d) block; the one path for squares out of range."""
+    with np.errstate(over="ignore", invalid="ignore"):  # 0/0 of a zero row, inf/inf of an infinite one
         sq = np.vecdot(v, v)
         norms = np.sqrt(sq)
-        ok = _trusted(sq)
-        if _count_nonzero(ok) != ok.size and _count_nonzero(v[~ok]):  # C counts; .any() goes through Python
-            for i in (~ok & v.any(axis=1)).nonzero()[0].tolist():  # an all-zero row keeps its 0.0
-                norms[i] = _norm(v[i])
+        out = ~_trusted(sq)
+        if _count_nonzero(out) and _count_nonzero(v[out]):  # C counts; .any() goes through Python
+            # Divide each such row by its own largest |coordinate|; a zero, inf or NaN row keeps that scale.
+            scale = np.abs(v[out]).max(axis=1)
+            w = v[out] / scale[:, None]
+            finite = (scale > 0.0) & (scale < math.inf)
+            norms[out] = np.where(finite, scale * np.sqrt(np.vecdot(w, w)), scale)
     return norms
 
 
-# Not on _norm, which the engine calls every step: errstate costs about 1 us a call.
+# Not on _max_row_norm, which the engine calls every step: errstate costs about 1 us a call.
 @np.errstate(over="ignore", invalid="ignore")
 def norm(x) -> float:
     """Euclidean norm, ``sqrt(inner(x, x))``, finite for every finite ``x``."""
@@ -131,9 +155,7 @@ def norm(x) -> float:
 
 def convex_combination(lam: float, x, y) -> np.ndarray:
     """Return ``lam * x + (1 - lam) * y`` componentwise, with ``lam`` in [0, 1]."""
-    lam = _as_number(lam, "lam")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
+    lam = _as_lam(lam)
     xv = as_vector(x, "x")
     yv = as_vector(y, "y")
     _require_same_dim(xv, yv, "convex_combination")
@@ -152,13 +174,11 @@ def convex_identity_defect(lam: float, x, y, z) -> float:
     evaluated in double precision, so its magnitude measures rounding
     error only; it scales with the squared magnitudes of the operands.
     """
-    lam = _as_number(lam, "lam")
+    lam = _as_lam(lam)
     xv = as_vector(x, "x")
     yv = as_vector(y, "y")
     zv = as_vector(z, "z")
     _require_same_dim(xv, zv, "convex_identity_defect")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     _require_same_dim(xv, yv, "convex_identity_defect")
     w = lam * xv + (1.0 - lam) * yv - zv
     lhs = float(np.dot(w, w))

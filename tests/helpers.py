@@ -11,6 +11,22 @@ from coupledfix import BivariateOperator, Box, make_linear_operator
 from coupledfix.trace_io import format_float
 
 
+def reference_norm(v):
+    """The norm of a vector written out on its own, so the library's one scaled path has a check.
+
+    A square in [2**-968, inf) gives sqrt(dot(v, v)); any other nonzero vector is divided by
+    its largest |coordinate| first, and a zero, infinite or NaN vector gives that coordinate.
+    """
+    sq = float(np.dot(v, v))
+    if 2.0**-968 <= sq < math.inf:
+        return math.sqrt(sq)
+    scale = float(np.abs(v).max())
+    if not 0.0 < scale < math.inf:
+        return scale
+    w = v / scale
+    return scale * math.sqrt(float(np.dot(w, w)))
+
+
 def random_linear_operator(rng, d=None, norm_sum=None, radius=2.0, name="linear"):
     """Random linear-family operator that maps its box domain into itself.
 

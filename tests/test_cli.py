@@ -267,6 +267,15 @@ class TestSpecLoader:
         assert run_cli("run", "--problem", str(p)) == 1
         assert "guard_domain" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["file", "flag"])
+    def test_guard_domain_error_names_every_word(self, tmp_path, capsys, where):
+        # The four words the loader takes are the four the error offers.
+        p = tmp_path / "problem.txt"
+        p.write_text("operator = example_4_1\nx0 = [1]\n" + ("guard_domain = maybe\n" if where == "file" else ""))
+        extra = ("--guard-domain", "maybe") if where == "flag" else ()
+        assert run_cli("run", "--problem", str(p), *extra) == 1
+        assert capsys.readouterr().err == "error: guard_domain: expected true, false, auto or none, got 'maybe'\n"
+
     def test_guard_flag_auto_overrides_file(self, tmp_path, capsys):
         p = tmp_path / "problem.txt"
         p.write_text("operator = example_4_1\nx0 = [1]\nguard_domain = true\n")
@@ -407,6 +416,16 @@ class TestOneGrammar:
         monkeypatch.setenv("COUPLEDFIX_DEFAULT_TOL", value)
         assert run_cli("run", "--operator", "example_4_1", "--x0", "[1]") == 1
         assert "COUPLEDFIX_DEFAULT_TOL" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("0", "tol must be positive, got 0.0"), ("inf", "tol: expected a number, got 'inf'"),
+         ("true", "tol: expected a number, got 'true'")],
+    )
+    def test_default_tol_env_edges_keep_their_messages(self, capsys, monkeypatch, value, message):
+        monkeypatch.setenv("COUPLEDFIX_DEFAULT_TOL", value)
+        assert run_cli("run", "--operator", "example_4_1", "--x0", "[1]") == 1
+        assert capsys.readouterr().err == f"error: COUPLEDFIX_DEFAULT_TOL: {message}\n"
 
     @pytest.mark.parametrize(
         "argv", [(), ("run", "--operator", "example_4_1", "--x0", "[1]", "--bogus", "1")]

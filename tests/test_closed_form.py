@@ -303,6 +303,14 @@ class TestIndexArgumentsTyped:
         with pytest.raises(ValueError, match=f"^n_max must be {message}"):
             oracle_trace(OracleHandle(PICARD_EXAMPLE_2_1, [0.5], [0.25]), n_max)
 
+    @pytest.mark.parametrize("edge", [-1, True, 2.5])
+    @pytest.mark.parametrize("call, name", [(oracle_iterate, "n"), (oracle_trace, "n_max")])
+    def test_edges_keep_their_messages(self, call, name, edge):
+        with pytest.raises(ValueError) as err:
+            call(OracleHandle(PICARD_EXAMPLE_2_1, [0.5], [0.25]), edge)
+        kind = ">= 0" if edge == -1 else "an integer"
+        assert str(err.value) == f"{name} must be {kind}, got {edge}"
+
     def test_oracle_iterate_index_not_negative(self):
         with pytest.raises(ValueError, match="^n must be >= 0"):
             oracle_iterate(OracleHandle(PICARD_EXAMPLE_2_1, [0.5], [0.25]), -1)

@@ -414,6 +414,19 @@ class TestSampleArgumentsTyped:
         with pytest.raises(ValueError, match=f"^{name} must be "):
             call(get_operator("example_2_1"), n_samples, seed)
 
+    @pytest.mark.parametrize("edge", ["below", True, 2.5])
+    @pytest.mark.parametrize("name", ["n_samples", "seed"])
+    @pytest.mark.parametrize("call", [analyze_operator, estimate_constants, draw_quadruples])
+    def test_edges_keep_their_messages(self, call, name, edge):
+        # One below the least count (1 sample, 0 for draw_quadruples; seed 0), a bool, a fraction.
+        least = 0 if name == "seed" or call is draw_quadruples else 1
+        value = least - 1 if edge == "below" else edge
+        args = {"n_samples": 10, "seed": 0, name: value}
+        with pytest.raises(ValueError) as err:
+            call(get_operator("example_2_1"), args["n_samples"], args["seed"])
+        kind = f">= {least}" if edge == "below" else "an integer"
+        assert str(err.value) == f"{name} must be {kind}, got {value}"
+
     @pytest.mark.parametrize("call", [analyze_operator, estimate_constants, draw_quadruples])
     def test_integral_floats_taken_as_ints(self, call):
         f = get_operator("example_2_1")

@@ -113,6 +113,20 @@ class TestConfigTypedOnce:
         with pytest.raises(ValueError, match=f"^{field} must be an? (integer|real number), got {value}$"):
             cfg(PICARD_DOUBLE, **{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("max_iter", 0, "max_iter must be >= 1, got 0"),
+         ("max_iter", True, "max_iter must be an integer, got True"),
+         ("max_iter", 2.5, "max_iter must be an integer, got 2.5"),
+         ("tol", 0, "tol must be positive, got 0.0"),
+         ("tol", float("inf"), "tol must be finite, got inf"),
+         ("tol", True, "tol must be a real number, got True")],
+    )
+    def test_count_and_tol_edges_keep_their_messages(self, field, value, message):
+        with pytest.raises(ValueError) as err:
+            cfg(KRASNOSELSKIJ_DIAGONAL, **{field: value})
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf")])
     def test_picard_theta_must_be_finite(self, theta):
         # picard_double ignores theta, but the trace JSON carries it, and JSON has no nan or inf.

@@ -211,6 +211,16 @@ class TestIsCoupledFixedPoint:
         with pytest.raises(ValueError, match="^tol must be "):
             is_coupled_fixed_point(f, CoupledPair([0.5], [0.5]), tol)
 
+    @pytest.mark.parametrize(
+        "tol, message",
+        [(0, "tol must be positive, got 0.0"), (float("inf"), "tol must be finite, got inf"),
+         (True, "tol must be a real number, got True")],
+    )
+    def test_tol_edges_keep_their_messages(self, tol, message):
+        with pytest.raises(ValueError) as err:
+            is_coupled_fixed_point(get_operator("example_2_1"), CoupledPair([0.5], [0.5]), tol)
+        assert str(err.value) == message
+
     def test_overflowed_residual_is_not_fixed(self):
         # F(x, y) = -x: F(x, y) - x = -3.4e308 overflows, and the engine records a residual of inf there.
         big = np.finfo(float).max

@@ -15,6 +15,7 @@ from coupledfix import (
     norm,
     project_box,
 )
+from helpers import reference_norm
 
 coords = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 unit_interval = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -89,6 +90,7 @@ class TestNorm:
             got = _row_norms(rows)
             assert got.shape == (200,)
             assert [v.hex() for v in got.tolist()] == [_norm(r).hex() for r in rows]
+            assert [v.hex() for v in got.tolist()] == [reference_norm(r).hex() for r in rows]
 
     def test_agrees_with_hypot_over_the_whole_exponent_range(self):
         # Coordinates from the subnormals to about 2**1000, within a vector either of one
