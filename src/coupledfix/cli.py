@@ -71,6 +71,8 @@ _EXIT_BY_STATUS = {
 }
 
 _GUARD_WORDS = {"true": True, "false": False, "auto": False, "none": False}
+# The keys that give F(x, y) = A x + B y + c when operator = linear.
+_LINEAR_KEYS = ("a_matrix", "b_matrix", "shift", "lower", "upper")
 
 
 class CliError(ValueError):
@@ -164,7 +166,7 @@ _KINDS = {
     **dict.fromkeys(("theta", "tol"), _float),
     **dict.fromkeys(("max_iter", "seed", "samples"), _integer),
     **dict.fromkeys(("x0", "y0", "reference_fixed_point"), _array),
-    **dict.fromkeys(("a_matrix", "b_matrix", "shift", "lower", "upper"), _array),  # operator = linear
+    **dict.fromkeys(_LINEAR_KEYS, _array),
     "thetas": _weights,
 }
 
@@ -230,7 +232,7 @@ def _build_operator(spec: dict):
             return get_operator(name)
         except ValueError as exc:
             raise CliError(f"operator: {exc}") from exc
-    for key in ("a_matrix", "b_matrix", "shift", "lower", "upper"):
+    for key in _LINEAR_KEYS:
         if key not in spec:
             raise CliError(f"{key}: required for operator = linear")
     try:
@@ -315,10 +317,7 @@ def _cmd_list_operators(_: dict) -> int:
             f"range_in_domain={str(f.range_in_domain).lower()} "
             f"known_fixed_points={len(f.known_coupled_fixed_points)}\n"
         )
-    sys.stdout.write(
-        "linear: F(x, y) = A x + B y + c, via a problem file "
-        "(a_matrix, b_matrix, shift, lower, upper)\n"
-    )
+    sys.stdout.write(f"linear: F(x, y) = A x + B y + c, via a problem file ({', '.join(_LINEAR_KEYS)})\n")
     return 0
 
 

@@ -95,24 +95,19 @@ class OracleHandle:
         if self.kind not in ORACLE_KINDS:
             raise ValueError(f"unknown oracle kind {self.kind!r}")
         x0 = as_vector(self.x0, "x0")
-        object.__setattr__(self, "x0", x0)
+        y0 = None if self.y0 is None else as_vector(self.y0, "y0")
         if self.kind in _KINDS_WITH_Y0:
-            if self.y0 is None:
+            if y0 is None:
                 raise ValueError(f"oracle kind {self.kind!r} requires y0")
-            y0 = as_vector(self.y0, "y0")
             if y0.shape != x0.shape:
                 raise ValueError("x0 and y0 must have equal dimension")
-            object.__setattr__(self, "y0", y0)
-        elif self.y0 is not None:
-            y0 = as_vector(self.y0, "y0")
-            if not np.array_equal(y0, x0):
-                raise ValueError(f"oracle kind {self.kind!r} is diagonal; y0 must equal x0")
-            object.__setattr__(self, "y0", y0)
-        if self.kind in _KINDS_WITH_LAM:
-            lam = None if self.lam is None else _as_number(self.lam, "lam")
-            if lam is None or not 0.0 < lam < 1.0:
-                raise ValueError(f"oracle kind {self.kind!r} requires lam in (0, 1), got {self.lam}")
-            object.__setattr__(self, "lam", lam)
+        elif y0 is not None and not np.array_equal(y0, x0):
+            raise ValueError(f"oracle kind {self.kind!r} is diagonal; y0 must equal x0")
+        lam = None if self.lam is None else _as_number(self.lam, "lam")
+        if self.kind in _KINDS_WITH_LAM and (lam is None or not 0.0 < lam < 1.0):
+            raise ValueError(f"oracle kind {self.kind!r} requires lam in (0, 1), got {self.lam}")
+        for name, value in (("x0", x0), ("y0", y0), ("lam", lam)):
+            object.__setattr__(self, name, value)
 
 
 def _weights(h: OracleHandle) -> tuple[float, float]:

@@ -125,15 +125,17 @@ def witness_ratio(f: BivariateOperator, w: Witness) -> float:
     df = _norm(f.eval(w.x, w.y) - f.eval(w.u, w.v))
     du = _norm(w.x - w.u)
     dv = _norm(w.y - w.v)
-    if w.kind == WITNESS_AXIS_A:
-        return df / du
-    if w.kind == WITNESS_AXIS_B:
-        return df / dv
-    if w.kind == WITNESS_NONEXPANSIVE:
-        return df / ((du + dv) / 2.0)
-    if w.kind == WITNESS_WEAKLY_NONEXPANSIVE:
-        return df / max(du, dv)
-    raise ValueError(f"unknown witness kind {w.kind!r}")
+    den = {
+        WITNESS_AXIS_A: du,
+        WITNESS_AXIS_B: dv,
+        WITNESS_NONEXPANSIVE: (du + dv) / 2.0,
+        WITNESS_WEAKLY_NONEXPANSIVE: max(du, dv),
+    }.get(w.kind)
+    if den is None:
+        raise ValueError(f"unknown witness kind {w.kind!r}")
+    if den == 0.0:
+        raise ValueError(f"witness kind {w.kind!r} has a zero denominator")
+    return df / den
 
 
 @dataclass(eq=False)

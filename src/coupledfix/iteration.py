@@ -65,6 +65,7 @@ recorded pair owns its rows.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -104,6 +105,7 @@ CONVERGED = "converged"
 MAX_ITER_REACHED = "max_iter_reached"
 DIVERGED_NONFINITE = "diverged_nonfinite"
 LEFT_DOMAIN = "left_domain"
+_STATUSES = (CONVERGED, MAX_ITER_REACHED, DIVERGED_NONFINITE, LEFT_DOMAIN)
 
 TRACE_CAP = 100_000
 
@@ -167,9 +169,11 @@ class IterationTrace:
     element (``np.array_equal``, so 0.0 equals -0.0).
 
     A trace is built only if ``trace_from_json`` could read it back, as far
-    as that takes constant time: there is at least one entry, and
-    ``step_indices``, ``residuals`` and any ``distances_to_target`` are as
-    long as ``iterates``. Anything else raises the reader's ``ValueError``.
+    as that takes constant time: ``status`` is one of the four statuses,
+    ``operator_name`` a ``str``, ``cycle_detected`` a ``bool``, there is at
+    least one entry, and ``step_indices``, ``residuals`` and any
+    ``distances_to_target`` are as long as ``iterates``. Anything else
+    raises the ``ValueError`` that ``trace_from_json`` raises for it.
     """
 
     step_indices: list[int]
@@ -182,6 +186,12 @@ class IterationTrace:
     cycle_detected: bool = False
 
     def __post_init__(self) -> None:
+        if self.status not in _STATUSES:
+            raise ValueError(f"status must be one of {_STATUSES}, got {reprlib.repr(self.status)}")
+        if type(self.operator_name) is not str:
+            raise ValueError(f"operator_name must be a string, got {reprlib.repr(self.operator_name)}")
+        if type(self.cycle_detected) is not bool:
+            raise ValueError(f"cycle_detected must be a boolean, got {reprlib.repr(self.cycle_detected)}")
         m = len(self.iterates)
         if not m:
             raise ValueError(f"iterates must be a non-empty array, got {self.iterates!r}")

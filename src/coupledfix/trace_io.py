@@ -13,19 +13,22 @@ A ``-0.0`` (a coordinate, or a Picard ``theta``) is written as ``-0``, and
 ``_DECODER`` reads ``-0`` as that float, not as the integer 0, so its sign
 survives the round trip; the CLI reads every number it is given with it.
 ``trace_from_json`` reads back only what ``trace_to_json`` can write, and
-raises a ``ValueError`` naming the key for anything else:
+raises a ``ValueError`` naming the key for anything else. It checks only
+what JSON alone can get wrong, and leaves each value rule to the class
+that owns it:
 
 - a document that is not an object, or lacks a key or has one more, or
   is nested too deep for ``json`` to read;
-- a value of the wrong JSON kind, from ``_KEYS`` (a string ``theta``, a
-  float ``max_iter``, ``"no"`` or ``1`` for ``cycle_detected`` or
-  ``guard_domain``, a non-string ``operator_name``), or a ``status``
-  outside the four statuses;
+- a config value of the wrong JSON kind, from ``_KEYS`` (a string
+  ``theta``, a float ``max_iter``, ``"no"`` or ``1`` for
+  ``guard_domain``), or an ``iterates``, ``residuals`` or ``distances``
+  that is not an array;
 - a config that ``SchemeConfig`` rejects (an unknown scheme, theta
   outside (0, 1), ``tol`` of 0, ...);
-- an empty ``iterates``, or a ``residuals`` or ``distances`` list whose
-  length differs from it (``IterationTrace`` refuses these when it is
-  built);
+- what ``IterationTrace`` refuses when it is built: a ``status`` outside
+  the four statuses, an ``operator_name`` that is not a string, a
+  ``cycle_detected`` that is not a boolean, an empty ``iterates``, or a
+  ``residuals`` or ``distances`` list whose length differs from it;
 - an iterate that is not ``{n, x, y}``, step indices that are not
   integers rising from 0 (such as ``1.5`` or ``[0, 1, 7, 3]``), ``x`` or
   ``y`` that is not an array of finite numbers, or iterates of different
@@ -54,14 +57,7 @@ import json
 import math
 import reprlib
 
-from .iteration import (
-    CONVERGED,
-    DIVERGED_NONFINITE,
-    LEFT_DOMAIN,
-    MAX_ITER_REACHED,
-    IterationTrace,
-    SchemeConfig,
-)
+from .iteration import IterationTrace, SchemeConfig
 from .operators import CoupledPair
 
 __all__ = ["format_float", "trace_to_json", "trace_from_json", "trace_to_csv"]
@@ -95,30 +91,28 @@ def _kind(name: str, *types: type):
     return name, lambda v: type(v) in types
 
 
-_STRING = _kind("a string", str)
 _NUMBER = _kind("a number", float, int)
 _INTEGER = _kind("an integer", int)
-_BOOLEAN = _kind("a boolean", bool)
-_STATUSES = (CONVERGED, MAX_ITER_REACHED, DIVERGED_NONFINITE, LEFT_DOMAIN)
 
 # The top-level keys in file order, each with its writer and the kind of
-# value trace_from_json accepts for it; a trace has exactly these keys.
+# value trace_from_json accepts for it, or None where IterationTrace checks
+# the value when it is built; a trace has exactly these keys.
 _KEYS = {
-    "scheme": (lambda t: json.dumps(t.scheme_config.scheme), _STRING),
+    "scheme": (lambda t: json.dumps(t.scheme_config.scheme), _kind("a string", str)),
     "theta": (lambda t: format_float(t.scheme_config.theta), _NUMBER),
     "tol": (lambda t: format_float(t.scheme_config.tol), _NUMBER),
-    "status": (lambda t: json.dumps(t.status), (f"one of {_STATUSES}", _STATUSES.__contains__)),
+    "status": (lambda t: json.dumps(t.status), None),
     "iterates": (_iterates, _kind("an array", list)),  # IterationTrace rejects an empty one
     "residuals": (lambda t: _array(t.residuals), _kind("an array", list)),
     "distances": (
         lambda t: "null" if t.distances_to_target is None else _array(t.distances_to_target),
         _kind("an array or null", list, type(None)),
     ),
-    "operator_name": (lambda t: json.dumps(t.operator_name), _STRING),
+    "operator_name": (lambda t: json.dumps(t.operator_name), None),
     "seed": (lambda t: str(t.scheme_config.seed), _INTEGER),
     "max_iter": (lambda t: str(t.scheme_config.max_iter), _INTEGER),
-    "guard_domain": (lambda t: json.dumps(t.scheme_config.guard_domain), _BOOLEAN),
-    "cycle_detected": (lambda t: json.dumps(bool(t.cycle_detected)), _BOOLEAN),
+    "guard_domain": (lambda t: json.dumps(t.scheme_config.guard_domain), _kind("a boolean", bool)),
+    "cycle_detected": (lambda t: json.dumps(t.cycle_detected), None),
 }
 _ENTRY_KEYS = dict.fromkeys(("n", "x", "y"))
 _CONFIG_KEYS = tuple(field.name for field in dataclasses.fields(SchemeConfig))
@@ -187,9 +181,9 @@ def trace_from_json(text: str) -> IterationTrace:
         raise ValueError("trace is nested too deep to read") from None
     if type(doc) is not dict or doc.keys() != _KEYS.keys():
         raise _wrong_keys("trace", doc, _KEYS)
-    for key, (_, (name, accepts)) in _KEYS.items():
-        if not accepts(doc[key]):
-            raise ValueError(f"{key} must be {name}, got {reprlib.repr(doc[key])}")
+    for key, (_, kind) in _KEYS.items():
+        if kind is not None and not kind[1](doc[key]):
+            raise ValueError(f"{key} must be {kind[0]}, got {reprlib.repr(doc[key])}")
     cfg = SchemeConfig(**{key: doc[key] for key in _CONFIG_KEYS})
     steps, iterates = [], []
     for k, e in enumerate(doc["iterates"]):

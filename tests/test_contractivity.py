@@ -301,6 +301,15 @@ class TestClassify:
         with pytest.raises(ValueError, match="unknown witness kind 'no_such_kind'"):
             witness_ratio(get_operator("example_2_1"), w)
 
+    @pytest.mark.parametrize(
+        "kind", [WITNESS_AXIS_A, WITNESS_AXIS_B, WITNESS_NONEXPANSIVE, WITNESS_WEAKLY_NONEXPANSIVE]
+    )
+    def test_zero_denominator_named(self, kind):
+        x, y = np.array([0.5]), np.array([-0.25])
+        w = Witness(kind, x, y, x.copy(), y.copy(), 1.0)
+        with pytest.raises(ValueError, match=f"^witness kind '{kind}' has a zero denominator"):
+            witness_ratio(get_operator("example_2_1"), w)
+
     def test_all_witness_ratios_reproduce(self):
         for name in ("example_2_1", "example_2_2", "example_4_1"):
             f = get_operator(name)

@@ -1,10 +1,15 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coupledfix import (
+    CONVERGED,
     KRASNOSELSKIJ_DIAGONAL,
+    PICARD_DOUBLE,
     BivariateOperator,
     Box,
     CoupledPair,
@@ -18,6 +23,7 @@ from coupledfix import (
     make_linear_operator,
     norm,
     operator_names,
+    run_scheme,
 )
 from helpers import random_linear_operator, sample_in_box
 
@@ -237,6 +243,25 @@ class TestIsCoupledFixedPoint:
             f = get_operator(name)
             for pair in f.known_coupled_fixed_points:
                 assert is_coupled_fixed_point(f, pair, 1e-10), (name, pair)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.sampled_from([*operator_names(), "linear"]), st.integers(0, 2**32 - 1), st.booleans())
+    def test_decides_as_the_engine_stops_at_step_0(self, name, seed, at_known_point):
+        # A random pair in the domain, or a known coupled fixed point, whose residual may
+        # round to a tiny nonzero value. With tol at the step-0 residual and one float
+        # below it, the answer is True exactly when the run stops converged at step 0.
+        rng = np.random.default_rng(seed)
+        f = random_linear_operator(rng) if name == "linear" else get_operator(name)
+        if at_known_point and f.known_coupled_fixed_points:
+            pair = f.known_coupled_fixed_points[int(rng.integers(len(f.known_coupled_fixed_points)))]
+        else:
+            pair = CoupledPair(sample_in_box(rng, f.domain), sample_in_box(rng, f.domain))
+        r0 = run_scheme(f, SchemeConfig(PICARD_DOUBLE, max_iter=1), pair.x, pair.y).residuals[0]
+        for tol in (r0, math.nextafter(r0, 0.0)):
+            if tol > 0.0:
+                trace = run_scheme(f, SchemeConfig(PICARD_DOUBLE, tol=tol, max_iter=1), pair.x, pair.y)
+                stops = trace.status == CONVERGED and trace.n_steps == 0
+                assert is_coupled_fixed_point(f, pair, tol) == stops == (tol == r0)
 
 
 class TestSkewMapFixedPointStructure:

@@ -352,6 +352,26 @@ class TestTraceBuiltOnlyIfReadable:
         with pytest.raises(ValueError, match=f"^{key} has {len(value)} entries"):
             dataclasses.replace(_hand_built(), **{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("status", "done", "status must be one of ('converged', 'max_iter_reached', 'diverged_nonfinite', "
+             "'left_domain'), got 'done'"),
+            ("operator_name", 5, "operator_name must be a string, got 5"),
+            ("cycle_detected", "no", "cycle_detected must be a boolean, got 'no'"),
+        ],
+        ids=["status", "operator_name", "cycle_detected"],
+    )
+    def test_values_refused_with_the_readers_message(self, field, value, message):
+        builds = (lambda: _hand_built(**{field: value}), lambda: dataclasses.replace(_hand_built(), **{field: value}))
+        for build in builds:
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            trace_from_json(json.dumps({**_short_doc(), field: value}))
+        assert str(err.value) == message
+
 
 def _short_doc():
     # The first four entries of a diagonal trace with a target: steps 0..3.
