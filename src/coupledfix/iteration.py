@@ -32,8 +32,8 @@ every k-th iterate (k minimal to stay under the cap) plus the final one,
 with explicit step indices. Each run is inherently sequential; distinct
 runs share no mutable state and may execute concurrently.
 
-A run checks its inputs once, at entry. The loop then carries the pair as one
-(2, d) block ``z`` (row 0 is x, row 1 is y). A step:
+A run checks its inputs once, at entry (``_start``). The block loop then carries
+the pair as one (2, d) block ``z`` (row 0 is x, row 1 is y). A step:
 
 - copies ``z`` once, into a fresh (4, d) block ``q = [x, y, y, x]``, and
   calls ``eval`` twice, ``F(x, y)`` on rows 0 and 1 and ``F(y, x)`` on rows
@@ -60,6 +60,22 @@ A run checks its inputs once, at entry. The loop then carries the pair as one
 
 Nothing writes into ``z`` or into a block a trace entry holds, so every
 recorded pair owns its rows.
+
+A relaxed run at d = 1 that does not clamp takes ``_float_loop`` instead,
+which carries x and y as Python floats; Picard runs, clamped runs and runs
+at d > 1 take ``_block_loop``. The rule reads only the scheme, the resolved
+guard and the dimension. The trace is the same, bit for bit:
+
+- each step still calls ``eval``'s checked entry twice, on fresh rows of one
+  (4, 1) block ``[x, y, y, x]``;
+- the residual is ``max(|x - F(x, y)|, |y - F(y, x)|)`` with a NaN kept,
+  which is what ``_max_row_norm`` returns for a (2, 1) block: for a square
+  in [2**-968, inf), sqrt(fl(v * v)) rounds back to |v|, and any other
+  square takes the scaled path, which gives |v| too;
+- the relaxed update, the escape test against the same bounds (slack
+  included), the non-finite exit and the thinned record are each the same
+  IEEE operation on the same operands. The pairs are built at the end from
+  one (m, 2, 1) array, and no two entries share a row of it.
 """
 
 from __future__ import annotations
@@ -156,7 +172,7 @@ class SchemeConfig:
         _as_count(self.max_iter, "max_iter", 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class IterationTrace:
     """Recorded history of one run.
 
@@ -174,6 +190,8 @@ class IterationTrace:
     least one entry, and ``step_indices``, ``residuals`` and any
     ``distances_to_target`` are as long as ``iterates``. Anything else
     raises the ``ValueError`` that ``trace_from_json`` raises for it.
+    The fields cannot be assigned afterwards (``dataclasses.replace`` builds
+    a checked copy); the lists they hold are plain lists.
     """
 
     step_indices: list[int]
@@ -234,17 +252,10 @@ def _is_two_cycle(sz: np.ndarray, sprev: np.ndarray, sprev2: np.ndarray, s: floa
     return _max_row_norm(sprev - sprev2) > _CYCLE_MIN_AMPLITUDE * max(sx, sy)
 
 
-# Every overflow in a run ends in a status or in _row_norms' scaled path for squares
-# out of range, so numpy's warnings about it would say nothing the trace does not.
-@np.errstate(over="ignore", invalid="ignore")
-def _run_loop(
-    f: BivariateOperator,
-    x0,
-    y0,
-    cfg: SchemeConfig,
-    target,
-    scheme: str,
-) -> IterationTrace:
+def _start(f: BivariateOperator, x0, y0, cfg: SchemeConfig, target, scheme: str):
+    """Check a run's inputs once; return what either loop takes: ``f``, the pair ``z`` as a
+    (2, d) block, the target or None, the config as run (``guard_domain`` resolved) and the
+    escape bounds."""
     if cfg.scheme != scheme:
         raise ValueError(f"config scheme is {cfg.scheme!r}, expected {scheme!r}")
     x = as_vector(x0, "x0")
@@ -260,31 +271,56 @@ def _run_loop(
     if target_v is not None and target_v.shape[0] != d:
         raise ValueError(f"target has dimension {target_v.shape[0]}, operator expects {d}")
 
-    guard = cfg.guard_domain or not f.range_in_domain
     box = f.domain
     escape_slack = 1e-12 * (1.0 + float(np.abs(np.concatenate([box.lower, box.upper])).max()))
     # The bounds Box.contains(v, slack=escape_slack) compares against; next
     # to the float maximum they round to inf, which is what they mean there.
     low, high = box.lower - escape_slack, box.upper + escape_slack
+    guard = cfg.guard_domain or not f.range_in_domain
+    return f, np.array((x, y)), target_v, replace(cfg, guard_domain=guard), low, high
 
+
+# Every overflow in a run ends in a status or in _row_norms' scaled path for squares
+# out of range, so numpy's warnings about it would say nothing the trace does not.
+@np.errstate(over="ignore", invalid="ignore")
+def _run_loop(f: BivariateOperator, x0, y0, cfg: SchemeConfig, target, scheme: str) -> IterationTrace:
+    start = _start(f, x0, y0, cfg, target, scheme)
+    _, z, _, run_cfg, _, _ = start
+    on_floats = z.shape[1] == 1 and not run_cfg.guard_domain and scheme != PICARD_DOUBLE
+    return _float_loop(*start) if on_floats else _block_loop(*start)
+
+
+def _stride(max_iter: int) -> int:
     # An entry is kept every stride-th step (the least stride that keeps at
     # most TRACE_CAP of them) and at the step where the run ends.
-    stride = -(-(cfg.max_iter + 1) // TRACE_CAP)
+    return -(-(max_iter + 1) // TRACE_CAP)
+
+
+def _block_loop(
+    f: BivariateOperator,
+    z: np.ndarray,
+    target_v: np.ndarray | None,
+    cfg: SchemeConfig,
+    low: np.ndarray,
+    high: np.ndarray,
+) -> IterationTrace:
+    stride = _stride(cfg.max_iter)
     steps: list[int] = []
     iterates: list[CoupledPair] = []
     residuals: list[float] = []
     distances: list[float] | None = None if target_v is None else []
     # Loop invariants, bound once.
     evaluate = f.eval
-    picard = scheme == PICARD_DOUBLE
+    box = f.domain
+    guard = cfg.guard_domain
+    picard = cfg.scheme == PICARD_DOUBLE
     theta = cfg.theta
     w = 1.0 - theta
     tol, max_iter = cfg.tol, cfg.max_iter
     keep_step, keep_pair, keep_residual = steps.append, iterates.append, residuals.append
-    z = np.array((x, y))
     prev: np.ndarray | None = None
     # Picard's 2-cycle test reads the pairs it saw last, each scaled once: see _is_two_cycle.
-    s = math.ldexp(1.0, -(2 * d - 1).bit_length())
+    s = math.ldexp(1.0, -(2 * z.shape[1] - 1).bit_length())
     sz = sprev = sprev2 = None
     cycle = False
     escaped = False
@@ -343,16 +379,79 @@ def _run_loop(
             z = zn
             n += 1
 
-    return IterationTrace(
-        step_indices=steps,
-        iterates=iterates,
-        residuals=residuals,
-        distances_to_target=distances,
-        status=status,
-        scheme_config=replace(cfg, guard_domain=guard),
-        operator_name=f.name,
-        cycle_detected=cycle,
-    )
+    return IterationTrace(steps, iterates, residuals, distances, status, cfg, f.name, cycle)
+
+
+def _larger(a: float, b: float) -> float:
+    # max(a, b) that keeps a NaN in either place, as _max_row_norm does; Python's max drops one in second place.
+    return a if a >= b or a != a else b
+
+
+def _float_loop(
+    f: BivariateOperator,
+    z: np.ndarray,
+    target_v: np.ndarray | None,
+    cfg: SchemeConfig,
+    low: np.ndarray,
+    high: np.ndarray,
+) -> IterationTrace:
+    # _block_loop for a relaxed run at d = 1 that does not clamp, with the pair as two Python floats.
+    stride = _stride(cfg.max_iter)
+    steps: list[int] = []
+    coordinates: list[float] = []  # x and y of each kept entry, in turn
+    residuals: list[float] = []
+    distances: list[float] | None = None if target_v is None else []
+    evaluate = f.eval
+    theta = cfg.theta
+    w = 1.0 - theta
+    tol, max_iter = cfg.tol, cfg.max_iter
+    lo, hi = low.item(), high.item()
+    t = None if target_v is None else target_v.item()
+    isfinite, inf = math.isfinite, math.inf
+    keep_step, keep_coordinate, keep_residual = steps.append, coordinates.append, residuals.append
+    x, y = z[:, 0].tolist()
+    px = py = None
+    escaped = False
+    status = None
+    n = 0
+
+    # Each branch below is _block_loop's, on floats; see the module docstring for why the bits agree.
+    while status is None:
+        q = np.array((x, y, y, x))[:, None]  # fresh rows for both evaluations
+        fx = evaluate(q[0], q[1], _checked=True).item()
+        fy = evaluate(q[2], q[3], _checked=True).item()
+        rn = _larger(abs(x - fx), abs(y - fy))  # inf or NaN if an image is not finite, or a difference overflowed
+        if not rn < inf and not (isfinite(fx) and isfinite(fy)):
+            if px is None:
+                raise NonFiniteEvaluationError(f"operator {f.name!r} returned non-finite output")
+            status = LEFT_DOMAIN if escaped else DIVERGED_NONFINITE
+            n, x, y = n - 1, px, py  # the pair evaluated last: r is its residual
+            if n % stride == 0:
+                continue
+        else:
+            r = rn
+            if escaped:
+                status = LEFT_DOMAIN
+            elif r <= tol:
+                status = CONVERGED
+            elif n >= max_iter:
+                status = MAX_ITER_REACHED
+        if n % stride == 0 or status is not None:
+            keep_step(n)
+            keep_coordinate(x)
+            keep_coordinate(y)
+            keep_residual(r)
+            if distances is not None:
+                distances.append(_larger(abs(x - t), abs(y - t)))
+        if status is None:
+            px, py = x, y
+            x = w * x + theta * fx
+            y = w * y + theta * fy
+            escaped = x < lo or x > hi or y < lo or y > hi
+            n += 1
+
+    iterates = [CoupledPair._of(*pair) for pair in np.array(coordinates).reshape(-1, 2, 1)]
+    return IterationTrace(steps, iterates, residuals, distances, status, cfg, f.name)
 
 
 def krasnoselskij_diagonal(

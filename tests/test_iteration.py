@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from coupledfix import (
     is_coupled_fixed_point,
     krasnoselskij_diagonal,
     krasnoselskij_double,
+    make_linear_operator,
     norm,
     oracle_iterate,
     oracle_limit,
@@ -636,10 +638,11 @@ def _doubling():
     )
 
 
-def _counted_run(scheme, guard, tol, max_iter):
+def _counted_run(scheme, guard, tol, max_iter, d=3):
     # A run of a linear operator whose evaluator counts its calls, from arrays
-    # the caller keeps: x0, y0 and the target.
-    base = random_linear_operator(np.random.default_rng(11), d=3)
+    # the caller keeps: x0, y0 and the target. At d = 1 a relaxed unguarded run
+    # takes the engine's float loop.
+    base = random_linear_operator(np.random.default_rng(11), d=d)
     calls = []
 
     def counting(x, y):
@@ -648,7 +651,7 @@ def _counted_run(scheme, guard, tol, max_iter):
 
     f = dataclasses.replace(base, evaluator=counting)
     xbar = f.known_coupled_fixed_points[0].x
-    x0, y0 = xbar + [0.5, -0.5, 1.0], xbar - [1.0, 0.25, 0.5]
+    x0, y0 = xbar + [0.5, -0.5, 1.0][:d], xbar - [1.0, 0.25, 0.5][:d]
     c = cfg(scheme, theta=0.4, tol=tol, max_iter=max_iter, guard_domain=guard)
     trace = run_scheme(f, c, x0, None if scheme == KRASNOSELSKIJ_DIAGONAL else y0, target=xbar)
     return trace, len(calls), (x0, y0, xbar)
@@ -669,14 +672,15 @@ MEMORY_RUNS = {
         for guard in (False, True)
     },
     **{
-        f"{scheme}-guard_{guard}-{status}": (
+        f"{scheme}-guard_{guard}-{status}{'' if d == 3 else f'-d{d}'}": (
             _CAP,
-            lambda s=scheme, g=guard, st=status: _counted_run(s, g, **_COUNTED_STOPS[st])[::2],
+            lambda s=scheme, g=guard, st=status, d=d: _counted_run(s, g, **_COUNTED_STOPS[st], d=d)[::2],
             status,
         )
         for scheme in iteration_mod.SCHEMES
         for guard in (False, True)
         for status in sorted(_COUNTED_STOPS)
+        for d in (3, 1)
     },
     "nonfinite_picard": (
         _CAP,
@@ -741,13 +745,14 @@ class TestEngineEvaluationsAndOwnership:
     @pytest.mark.parametrize("guard", [False, True])
     @pytest.mark.parametrize("scheme", iteration_mod.SCHEMES)
     def test_two_evaluations_a_step_plus_two_at_the_final_pair(self, scheme, guard, status):
-        trace, calls, _ = _counted_run(scheme, guard, **_COUNTED_STOPS[status])
-        assert trace.status == status
-        assert calls == 2 * (trace.n_steps + 1)
+        for d in (3, 1):
+            trace, calls, _ = _counted_run(scheme, guard, **_COUNTED_STOPS[status], d=d)
+            assert trace.status == status
+            assert calls == 2 * (trace.n_steps + 1)
 
 
-def _quarter_difference(writes: bool) -> BivariateOperator:
-    # F(x, y) = (x - y) / 4 on [-1, 1]^2. The writing form doubles its arguments in
+def _quarter_difference(writes: bool, d: int) -> BivariateOperator:
+    # F(x, y) = (x - y) / 4 on [-1, 1]^d. The writing form doubles its arguments in
     # place first, as test_evaluator_gets_copies's does; its images have the same bits.
     def writing(x, y):
         x *= 2.0
@@ -756,7 +761,7 @@ def _quarter_difference(writes: bool) -> BivariateOperator:
 
     return BivariateOperator(
         name="quarter_difference",
-        domain=Box([-1.0, -1.0], [1.0, 1.0]),
+        domain=Box(-np.ones(d), np.ones(d)),
         evaluator=writing if writes else lambda x, y: (x - y) / 4.0,
         range_in_domain=True,
     )
@@ -766,18 +771,128 @@ class TestEvaluatorWritingIntoItsArguments:
     @pytest.mark.parametrize("guard", [False, True])
     @pytest.mark.parametrize("scheme", iteration_mod.SCHEMES)
     def test_cannot_change_the_trace(self, scheme, guard):
-        x0, y0 = np.array([0.75, -0.5]), np.array([-0.25, 0.625])
-        c = cfg(scheme, theta=0.4, tol=1e-300, max_iter=25, guard_domain=guard)
-        runs = [
-            run_scheme(_quarter_difference(writes), c, x0, None if scheme == KRASNOSELSKIJ_DIAGONAL else y0)
-            for writes in (False, True)
-        ]
-        pure, written = runs
-        assert (pure.status, pure.n_steps) == (MAX_ITER_REACHED, 25)
-        assert written == pure
-        hexes = [[v.hex() for v in (*t.final_pair.x.tolist(), *t.final_pair.y.tolist())] for t in runs]
-        assert hexes[1] == hexes[0]
-        assert x0.tolist() == [0.75, -0.5] and y0.tolist() == [-0.25, 0.625]
+        # At d = 1 a relaxed unguarded run takes the engine's float loop.
+        for d in (2, 1):
+            x0, y0 = np.array([0.75, -0.5][:d]), np.array([-0.25, 0.625][:d])
+            c = cfg(scheme, theta=0.4, tol=1e-300, max_iter=25, guard_domain=guard)
+            runs = [
+                run_scheme(_quarter_difference(writes, d), c, x0, None if scheme == KRASNOSELSKIJ_DIAGONAL else y0)
+                for writes in (False, True)
+            ]
+            pure, written = runs
+            assert (pure.status, pure.n_steps) == (MAX_ITER_REACHED, 25)
+            assert written == pure
+            hexes = [[v.hex() for v in (*t.final_pair.x.tolist(), *t.final_pair.y.tolist())] for t in runs]
+            assert hexes[1] == hexes[0]
+            assert x0.tolist() == [0.75, -0.5][:d] and y0.tolist() == [-0.25, 0.625][:d]
+
+
+def _line_operator(kind, a, b, c, radius):
+    # One-dimensional operators for the float loop's reference test. "linear" is F = a x + b y + c
+    # on [-radius, radius] with make_linear_operator's range verdict; "claimed" is the same map
+    # declared a self-map, so it runs unguarded and may leave its box or overflow; "nan_above" is
+    # the claimed map where the first argument is at most 1/2, and NaN above.
+    if kind in ("example_2_1", "example_2_2", "example_4_1"):
+        return get_operator(kind)
+    if kind == "escaper":
+        return escaper()
+    f = make_linear_operator([[a]], [[b]], [c], Box([-radius], [radius]), attach_fixed_point=False)
+    if kind == "linear":
+        return f
+    if kind == "nan_above":
+        f = dataclasses.replace(f, evaluator=lambda x, y, g=f.evaluator: np.where(x > 0.5, np.nan, g(x, y)))
+    return dataclasses.replace(f, range_in_domain=True)
+
+
+def _bits(run):
+    # Everything a run returns, each float as float.hex, or the exception it raised.
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = run()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    distances = trace.distances_to_target
+    return (
+        trace.status, trace.step_indices, trace.scheme_config, trace.operator_name, trace.cycle_detected,
+        [_hexes(pair.x.tolist() + pair.y.tolist()) for pair in trace.iterates],
+        _hexes(trace.residuals), None if distances is None else _hexes(distances),
+        {type(v) for v in (*trace.residuals, *(distances or ()))},
+    )
+
+
+def _hexes(values):
+    return [v.hex() for v in values]
+
+
+RELAXED = (KRASNOSELSKIJ_DIAGONAL, KRASNOSELSKIJ_DOUBLE)
+_LINE_STARTS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1e-300, 0.5, -1.0, 1e300, -1e300])
+
+
+@st.composite
+def _line_runs(draw):
+    kinds = ["linear", "claimed", "nan_above", "example_2_1", "example_2_2", "example_4_1", "escaper"]
+    kind = draw(st.sampled_from(kinds))
+    a, b, c = (draw(st.floats(-3.0, 3.0)) for _ in range(3))
+    radius = draw(st.sampled_from([1.0, 4.0, 2e300, FLOAT_MAX]))
+    box = _line_operator(kind, a, b, c, radius).domain
+    x0, y0 = (min(max(draw(_LINE_STARTS | st.floats(-radius, radius)), box.lower[0]), box.upper[0]) for _ in "xy")
+    kw = dict(
+        theta=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        tol=draw(st.sampled_from([5e-324, 1e-300, 1e-12]) | st.floats(1e-300, 1.0)),
+        max_iter=draw(st.integers(1, 200)),
+    )
+    target = draw(st.none() | _LINE_STARTS | st.floats(allow_nan=False, allow_infinity=False))
+    cap = draw(st.none() | st.integers(1, 20))
+    return kind, a, b, c, radius, draw(st.sampled_from(RELAXED)), x0, y0, kw, target, cap
+
+
+class TestFloatLoopMatchesTheBlockLoop:
+    # A relaxed unguarded run at d = 1 takes the float loop; the block loop, called on the
+    # same checked start, is its reference, bit for bit.
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("guard", [False, True])
+    @pytest.mark.parametrize("scheme", iteration_mod.SCHEMES)
+    def test_the_float_loop_takes_relaxed_unguarded_runs_at_d_1(self, scheme, guard, d):
+        taken, float_loop = [], iteration_mod._float_loop
+
+        def counted(*start):
+            taken.append(None)
+            return float_loop(*start)
+
+        f = _quarter_difference(False, d)
+        with mock.patch.object(iteration_mod, "_float_loop", counted):
+            run_scheme(f, cfg(scheme, max_iter=5, guard_domain=guard), np.full(d, 0.5), np.full(d, -0.5))
+        assert len(taken) == (d == 1 and not guard and scheme != PICARD_DOUBLE)
+
+    @settings(deadline=None, max_examples=200)
+    @given(_line_runs())
+    # F(y, x) turns NaN at step 3 while F(x, y) does not: the residual must keep a NaN in second place.
+    @example(("nan_above", 0.0, 0.0, 0.9, 1.0, KRASNOSELSKIJ_DOUBLE, -1.0, 0.0, dict(theta=0.3), None, None))
+    # The iterates settle on 1 + 1e-13, above the box but inside the escape slack.
+    @example((
+        "claimed", 0.0, 0.0, 1.0 + 1e-13, 1.0, KRASNOSELSKIJ_DIAGONAL, 0.5, 0.5,
+        dict(theta=0.5, tol=1e-300, max_iter=80), None, None,
+    ))
+    # From the float maximum's neighbourhood, F = 3x overflows; thinned by a cap of 3, with a target.
+    @example((
+        "claimed", 3.0, 0.0, 0.0, FLOAT_MAX, KRASNOSELSKIJ_DOUBLE, 1e300, -1e300, dict(theta=0.5, max_iter=200), 0.0, 3,
+    ))
+    @example(("linear", 0.5, -0.25, 0.0, 1.0, KRASNOSELSKIJ_DIAGONAL, -0.0, -0.0, dict(theta=0.3), -0.0, None))
+    @example((
+        "linear", 0.5, -0.25, 0.0, 1.0, KRASNOSELSKIJ_DOUBLE, 1e-320, -5e-324,
+        dict(theta=0.3, tol=5e-324, max_iter=20), 5e-324, 2,
+    ))
+    @example(("escaper", 0.0, 0.0, 0.0, 1.0, KRASNOSELSKIJ_DOUBLE, 0.5, -0.5, dict(theta=0.9, max_iter=50), None, None))
+    def test_run_scheme_equals_the_block_loop(self, run):
+        kind, a, b, c, radius, scheme, x0, y0, kw, target, cap = run
+        f = _line_operator(kind, a, b, c, radius)
+        config = cfg(scheme, **kw)
+        y0 = x0 if scheme == KRASNOSELSKIJ_DIAGONAL else y0
+        target = None if target is None else [target]
+        with mock.patch.object(iteration_mod, "TRACE_CAP", cap or iteration_mod.TRACE_CAP):
+            got = _bits(lambda: run_scheme(f, config, [x0], [y0], target))
+            want = _bits(lambda: iteration_mod._block_loop(*iteration_mod._start(f, [x0], [y0], config, target, scheme)))
+        assert got == want
 
 
 class TestFejerMonotonicity:

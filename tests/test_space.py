@@ -117,6 +117,30 @@ class TestNorm:
                 assert [_norm(row) for row in block] == roots
                 assert _max_row_norm(block) == max(roots)
 
+    def test_one_coordinate_rows_give_the_larger_absolute_value(self):
+        # What the engine's float loop relies on at d = 1: the larger norm of the rows of a (2, 1)
+        # block is max(|a|, |b|) bit for bit, NaN if either is. For a square in [2**-968, inf),
+        # sqrt(fl(a * a)) rounds back to |a|; any other square (zero, subnormal, underflowed,
+        # overflowed) takes the scaled path, which divides a by |a|.
+        from coupledfix.space import _max_row_norm
+
+        rng = np.random.default_rng(14)
+        exponents = np.arange(-1074, 1024)
+        values = np.concatenate([
+            np.ldexp(mantissa, exponents) for mantissa in (1.0, 2.0 - 2.0**-52, rng.uniform(1.0, 2.0))
+        ])
+        root_max, square_floor = math.sqrt(np.finfo(float).max), 2.0**-484  # squares at the ends of the range
+        edges = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, np.finfo(float).max, root_max, square_floor]
+        edges += [math.nextafter(v, w) for v in (root_max, square_floor) for w in (0.0, math.inf)]
+        values = np.concatenate([values, edges]) * rng.choice([-1.0, 1.0], size=values.size + len(edges))
+        # Each value against another, a zero row or a NaN row, in both places.
+        others = rng.choice([0.0, np.nan], values.size)
+        partners = np.where(rng.random(values.size) < 0.8, rng.permutation(values), others)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a, b in zip(np.concatenate([values, partners]).tolist(), np.concatenate([partners, values]).tolist()):
+                want = math.nan if math.isnan(a) or math.isnan(b) else max(abs(a), abs(b))
+                assert _max_row_norm(np.array([[a], [b]])).hex() == want.hex(), (a, b)
+
     @given(vectors())
     def test_zero_iff_zero(self, x):
         # A square that underflows is scaled first, so only the zero vector has norm 0.

@@ -372,6 +372,17 @@ class TestTraceBuiltOnlyIfReadable:
             trace_from_json(json.dumps({**_short_doc(), field: value}))
         assert str(err.value) == message
 
+    # A relaxed unguarded run at d = 1 takes the engine's float loop, a Picard run its block loop.
+    @pytest.mark.parametrize("scheme", [KRASNOSELSKIJ_DIAGONAL, PICARD_DOUBLE], ids=["float_loop", "block_loop"])
+    def test_fields_of_a_built_trace_cannot_be_assigned(self, scheme):
+        # An assignment would skip the checks above: the writer would then write "done".
+        trace = run_scheme(get_operator("example_4_1"), SchemeConfig(scheme, max_iter=5), [0.5], [0.25])
+        for field, value in (("status", "done"), ("cycle_detected", "no"), ("residuals", [])):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(trace, field, value)
+        assert trace_from_json(trace_to_json(trace)) == trace
+        trace.iterates[-1] = trace.iterates[0]  # the lists themselves stay lists, as perfbench's checks need
+
 
 def _short_doc():
     # The first four entries of a diagonal trace with a target: steps 0..3.
