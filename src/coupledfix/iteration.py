@@ -32,50 +32,52 @@ every k-th iterate (k minimal to stay under the cap) plus the final one,
 with explicit step indices. Each run is inherently sequential; distinct
 runs share no mutable state and may execute concurrently.
 
-A run checks its inputs once, at entry (``_start``). The block loop then carries
-the pair as one (2, d) block ``z`` (row 0 is x, row 1 is y). A step:
+A run checks its inputs once, at entry (``_start``), and then runs one loop,
+``_iterate``, on one of two representations of the pair. A relaxed run at
+d = 1 that does not clamp carries x and y as two Python floats
+(``_float_loop``); Picard runs, clamped runs and runs at d > 1 carry them as
+one (2, d) block ``z``, row 0 x and row 1 y (``_block_loop``). The rule reads
+only the scheme, the resolved guard and the dimension. The loop owns the
+status chain, the non-finite exit, the thinned record and the distance; what
+the representations do differently is four small functions, bound at entry:
 
-- copies ``z`` once, into a fresh (4, d) block ``q = [x, y, y, x]``, and
-  calls ``eval`` twice, ``F(x, y)`` on rows 0 and 1 and ``F(y, x)`` on rows
-  2 and 3, stacking the images into a fresh block ``fz``: two calls a step,
-  plus two at the final pair, as the benchmark's pins count them. Each call
-  gets rows of its own, so an evaluator that writes into its arguments
-  changes neither ``z`` nor the other call's rows. Both calls take
-  ``eval``'s checked entry, which checks only the shape of the image: the
-  rows are finite rows of shape (d,), since the starting pair was checked
-  at entry and each later pair is a relaxed combination of finite rows, a
-  clamp, or images found finite. ``F(y, x)`` is called even when ``F(x, y)``
-  is not finite, so an exception it raises, such as ``OutputDimensionError``,
-  propagates;
-- takes the residual, the larger row norm of ``z - fz`` (one square root when
-  both squares are in ``space``'s range). Only a residual that is not finite
-  makes the loop count the finite entries of ``fz``: a non-finite image ends
-  the run, or raises ``NonFiniteEvaluationError`` at the starting pair;
-- for Picard, scales ``z`` once for the 2-cycle test, which reads the
-  scaled pairs of the last three steps and takes their six norms from one
-  stacked block;
-- builds the next pair in a fresh block, ``zn = (1 - theta) * z`` and then
-  ``zn += theta * fz`` in place; Picard takes ``fz`` itself;
-- clamps ``zn`` into a new block when guarded, or else tests it for escape.
+- ``images`` copies the pair once, into a fresh block ``q = [x, y, y, x]``
+  ((4, d), or (4, 1) for floats), and calls ``eval`` twice, ``F(x, y)`` on
+  rows 0 and 1 and ``F(y, x)`` on rows 2 and 3: two calls a step, plus two
+  at the final pair, as the benchmark's pins count them. Each call gets rows
+  of its own, so an evaluator that writes into its arguments changes neither
+  the pair nor the other call's rows. Both calls take ``eval``'s checked
+  entry, which checks only the shape of the image: the rows are finite rows
+  of shape (d,), since the starting pair was checked at entry and each later
+  pair is a relaxed combination of finite rows, a clamp, or images found
+  finite. ``F(y, x)`` is called even when ``F(x, y)`` is not finite, so an
+  exception it raises, such as ``OutputDimensionError``, propagates. It
+  returns the images with the residual, the larger row norm of their
+  difference from the pair (one square root when both squares are in
+  ``space``'s range);
+- ``gap`` is the larger row norm of a difference: the distance to the
+  target, and on floats the residual too;
+- ``finite`` counts the finite entries of the images, and runs only after a
+  residual that is not finite: a non-finite image ends the run, or raises
+  ``NonFiniteEvaluationError`` at the starting pair;
+- ``advance`` builds the next pair, ``(1 - theta) * z`` and then
+  ``+ theta * F`` (Picard takes the images themselves), and clamps it when
+  guarded or else tests it for escape.
 
-Nothing writes into ``z`` or into a block a trace entry holds, so every
-recorded pair owns its rows.
+Picard runs only on the block; its 2-cycle test, in the status chain, scales
+each pair once and reads the last three from one stacked block. Nothing
+writes into a pair the loop has made, so every recorded pair owns its rows;
+the float pairs become (2, 1) blocks at the end, rows of one (m, 2, 1)
+array, no two entries sharing a row.
 
-A relaxed run at d = 1 that does not clamp takes ``_float_loop`` instead,
-which carries x and y as Python floats; Picard runs, clamped runs and runs
-at d > 1 take ``_block_loop``. The rule reads only the scheme, the resolved
-guard and the dimension. The trace is the same, bit for bit:
-
-- each step still calls ``eval``'s checked entry twice, on fresh rows of one
-  (4, 1) block ``[x, y, y, x]``;
-- the residual is ``max(|x - F(x, y)|, |y - F(y, x)|)`` with a NaN kept,
-  which is what ``_max_row_norm`` returns for a (2, 1) block: for a square
-  in [2**-968, inf), sqrt(fl(v * v)) rounds back to |v|, and any other
-  square takes the scaled path, which gives |v| too;
-- the relaxed update, the escape test against the same bounds (slack
-  included), the non-finite exit and the thinned record are each the same
-  IEEE operation on the same operands. The pairs are built at the end from
-  one (m, 2, 1) array, and no two entries share a row of it.
+The two representations give the same trace, bit for bit. At d = 1 the
+block's residual, the larger row norm, is ``max(|x - F(x, y)|, |y - F(y, x)|)``
+with a NaN kept, and that is what the float ``gap`` takes: for a square in
+[2**-968, inf), sqrt(fl(v * v)) rounds back to |v|, and any other square takes
+the scaled path, which gives |v| too. The relaxed update (``w * z`` and then
+``+= theta * fz`` is two roundings, as the float expression is) and the escape
+test against the same bounds, slack included, are each the same IEEE
+operation on the same operands.
 """
 
 from __future__ import annotations
@@ -83,6 +85,7 @@ from __future__ import annotations
 import math
 import reprlib
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -253,7 +256,7 @@ def _is_two_cycle(sz: np.ndarray, sprev: np.ndarray, sprev2: np.ndarray, s: floa
 
 
 def _start(f: BivariateOperator, x0, y0, cfg: SchemeConfig, target, scheme: str):
-    """Check a run's inputs once; return what either loop takes: ``f``, the pair ``z`` as a
+    """Check a run's inputs once; return what the loop takes: ``f``, the pair ``z`` as a
     (2, d) block, the target or None, the config as run (``guard_domain`` resolved) and the
     escape bounds."""
     if cfg.scheme != scheme:
@@ -290,50 +293,82 @@ def _run_loop(f: BivariateOperator, x0, y0, cfg: SchemeConfig, target, scheme: s
     return _float_loop(*start) if on_floats else _block_loop(*start)
 
 
-def _stride(max_iter: int) -> int:
-    # An entry is kept every stride-th step (the least stride that keeps at
-    # most TRACE_CAP of them) and at the step where the run ends.
-    return -(-(max_iter + 1) // TRACE_CAP)
-
-
-def _block_loop(
-    f: BivariateOperator,
-    z: np.ndarray,
-    target_v: np.ndarray | None,
-    cfg: SchemeConfig,
-    low: np.ndarray,
-    high: np.ndarray,
-) -> IterationTrace:
-    stride = _stride(cfg.max_iter)
-    steps: list[int] = []
-    iterates: list[CoupledPair] = []
-    residuals: list[float] = []
-    distances: list[float] | None = None if target_v is None else []
-    # Loop invariants, bound once.
+def _iterate(f: BivariateOperator, z, target_v, cfg: SchemeConfig, low, high, on_floats: bool) -> IterationTrace:
+    # The one loop, on the pair as two floats or as a (2, d) block; see the module docstring.
     evaluate = f.eval
-    box = f.domain
-    guard = cfg.guard_domain
     picard = cfg.scheme == PICARD_DOUBLE
     theta = cfg.theta
     w = 1.0 - theta
-    tol, max_iter = cfg.tol, cfg.max_iter
-    keep_step, keep_pair, keep_residual = steps.append, iterates.append, residuals.append
-    prev: np.ndarray | None = None
     # Picard's 2-cycle test reads the pairs it saw last, each scaled once: see _is_two_cycle.
     s = math.ldexp(1.0, -(2 * z.shape[1] - 1).bit_length())
-    sz = sprev = sprev2 = None
-    cycle = False
-    escaped = False
+    if on_floats:
+        lo, hi = low.item(), high.item()
+        z = tuple(z[:, 0].tolist())
+        target = None if target_v is None else (target_v.item(),) * 2
+
+        def gap(u, v):
+            # The larger |difference|, keeping a NaN in either place as _max_row_norm does.
+            a, b = abs(u[0] - v[0]), abs(u[1] - v[1])
+            return a if a >= b or a != a else b
+
+        def images(z):
+            x, y = z
+            q = np.array((x, y, y, x))[:, None]  # fresh rows for both evaluations, as below
+            fz = evaluate(q[0], q[1], _checked=True).item(), evaluate(q[2], q[3], _checked=True).item()
+            return fz, gap(z, fz)
+
+        def finite(fz):
+            return math.isfinite(fz[0]) and math.isfinite(fz[1])
+
+        def advance(z, fz):
+            x = w * z[0] + theta * fz[0]
+            y = w * z[1] + theta * fz[1]
+            return (x, y), x < lo or x > hi or y < lo or y > hi  # finite, so < is the negation of >=
+    else:
+        box, guard, target = f.domain, cfg.guard_domain, target_v
+
+        def gap(u, v):
+            return _max_row_norm(u - v)
+
+        def images(z):
+            # Fresh rows for both evaluations, so an evaluator that writes into its
+            # arguments changes neither z nor the other call's rows.
+            q = z.take(_XYYX, axis=0)
+            fz = np.array((evaluate(q[0], q[1], _checked=True), evaluate(q[2], q[3], _checked=True)))
+            return fz, _max_row_norm(z - fz)
+
+        def finite(fz):
+            return _count_nonzero(np.isfinite(fz)) == fz.size
+
+        def advance(z, fz):
+            # zn is a fresh block (fz is one for Picard), so writing into it leaves z alone.
+            if picard:
+                zn = fz
+            else:
+                zn = w * z
+                zn += theta * fz
+            if guard:
+                return _clamp(zn, box), False
+            # zn is finite, so < is the negation of >=.
+            return zn, _count_nonzero(zn < low) or _count_nonzero(zn > high)
+
+    tol, max_iter = cfg.tol, cfg.max_iter
+    # An entry is kept every stride-th step (the least stride that keeps at
+    # most TRACE_CAP of them) and at the step where the run ends.
+    stride = -(-(max_iter + 1) // TRACE_CAP)
+    steps: list[int] = []
+    kept: list = []  # the pair of each kept entry, as the loop carries it
+    residuals: list[float] = []
+    distances: list[float] | None = None if target is None else []
+    keep_step, keep_pair, keep_residual = steps.append, kept.append, residuals.append
+    prev = sz = sprev = sprev2 = None
+    cycle = escaped = False
     status = None
     n = 0
 
     while status is None:
-        # Fresh rows for both evaluations, so an evaluator that writes into its
-        # arguments changes neither z nor the other call's rows.
-        q = z.take(_XYYX, axis=0)
-        fz = np.array((evaluate(q[0], q[1], _checked=True), evaluate(q[2], q[3], _checked=True)))
-        rn = _max_row_norm(z - fz)  # inf or NaN if fz is not finite, or if z - fz overflowed
-        if not rn < math.inf and _count_nonzero(np.isfinite(fz)) != fz.size:
+        fz, rn = images(z)  # rn is inf or NaN if fz is not finite, or if z - fz overflowed
+        if not rn < math.inf and not finite(fz):
             if prev is None:
                 # Broken at the starting pair: nothing sane to trace.
                 raise NonFiniteEvaluationError(f"operator {f.name!r} returned non-finite output")
@@ -357,101 +392,26 @@ def _block_loop(
                 status = MAX_ITER_REACHED
         if n % stride == 0 or status is not None:
             keep_step(n)
-            keep_pair(CoupledPair._of(z[0], z[1]))
+            keep_pair(z)
             keep_residual(r)
             if distances is not None:
-                distances.append(_max_row_norm(z - target_v))
+                distances.append(gap(z, target))
         if status is None:
             # No finiteness test: the images were counted finite, and for |a|, |b| <= the float
             # maximum and theta in (0, 1), |(1 - theta) * a + theta * b| rounds to at most it.
-            # zn is a fresh block (fz is one for Picard), so writing into it leaves z alone.
-            if picard:
-                zn = fz
-            else:
-                zn = w * z
-                zn += theta * fz
-            if guard:
-                zn = _clamp(zn, box)
-            else:  # zn is finite, so < is the negation of >=
-                escaped = _count_nonzero(zn < low) or _count_nonzero(zn > high)
             prev = z
             sprev2, sprev = sprev, sz
-            z = zn
+            z, escaped = advance(z, fz)
             n += 1
 
+    blocks = np.array(kept).reshape(-1, 2, 1) if on_floats else kept
+    iterates = [CoupledPair._of(pair[0], pair[1]) for pair in blocks]
     return IterationTrace(steps, iterates, residuals, distances, status, cfg, f.name, cycle)
 
 
-def _larger(a: float, b: float) -> float:
-    # max(a, b) that keeps a NaN in either place, as _max_row_norm does; Python's max drops one in second place.
-    return a if a >= b or a != a else b
-
-
-def _float_loop(
-    f: BivariateOperator,
-    z: np.ndarray,
-    target_v: np.ndarray | None,
-    cfg: SchemeConfig,
-    low: np.ndarray,
-    high: np.ndarray,
-) -> IterationTrace:
-    # _block_loop for a relaxed run at d = 1 that does not clamp, with the pair as two Python floats.
-    stride = _stride(cfg.max_iter)
-    steps: list[int] = []
-    coordinates: list[float] = []  # x and y of each kept entry, in turn
-    residuals: list[float] = []
-    distances: list[float] | None = None if target_v is None else []
-    evaluate = f.eval
-    theta = cfg.theta
-    w = 1.0 - theta
-    tol, max_iter = cfg.tol, cfg.max_iter
-    lo, hi = low.item(), high.item()
-    t = None if target_v is None else target_v.item()
-    isfinite, inf = math.isfinite, math.inf
-    keep_step, keep_coordinate, keep_residual = steps.append, coordinates.append, residuals.append
-    x, y = z[:, 0].tolist()
-    px = py = None
-    escaped = False
-    status = None
-    n = 0
-
-    # Each branch below is _block_loop's, on floats; see the module docstring for why the bits agree.
-    while status is None:
-        q = np.array((x, y, y, x))[:, None]  # fresh rows for both evaluations
-        fx = evaluate(q[0], q[1], _checked=True).item()
-        fy = evaluate(q[2], q[3], _checked=True).item()
-        rn = _larger(abs(x - fx), abs(y - fy))  # inf or NaN if an image is not finite, or a difference overflowed
-        if not rn < inf and not (isfinite(fx) and isfinite(fy)):
-            if px is None:
-                raise NonFiniteEvaluationError(f"operator {f.name!r} returned non-finite output")
-            status = LEFT_DOMAIN if escaped else DIVERGED_NONFINITE
-            n, x, y = n - 1, px, py  # the pair evaluated last: r is its residual
-            if n % stride == 0:
-                continue
-        else:
-            r = rn
-            if escaped:
-                status = LEFT_DOMAIN
-            elif r <= tol:
-                status = CONVERGED
-            elif n >= max_iter:
-                status = MAX_ITER_REACHED
-        if n % stride == 0 or status is not None:
-            keep_step(n)
-            keep_coordinate(x)
-            keep_coordinate(y)
-            keep_residual(r)
-            if distances is not None:
-                distances.append(_larger(abs(x - t), abs(y - t)))
-        if status is None:
-            px, py = x, y
-            x = w * x + theta * fx
-            y = w * y + theta * fy
-            escaped = x < lo or x > hi or y < lo or y > hi
-            n += 1
-
-    iterates = [CoupledPair._of(*pair) for pair in np.array(coordinates).reshape(-1, 2, 1)]
-    return IterationTrace(steps, iterates, residuals, distances, status, cfg, f.name)
+# The loop's two entries, one per representation of the pair.
+_block_loop = partial(_iterate, on_floats=False)
+_float_loop = partial(_iterate, on_floats=True)
 
 
 def krasnoselskij_diagonal(

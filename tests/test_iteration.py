@@ -846,6 +846,10 @@ def _line_runs(draw):
     return kind, a, b, c, radius, draw(st.sampled_from(RELAXED)), x0, y0, kw, target, cap
 
 
+# F(y, x) turns NaN at step 3 while F(x, y) does not: the residual must keep a NaN in second place.
+_NONFINITE_LINE_RUN = ("nan_above", 0.0, 0.0, 0.9, 1.0, KRASNOSELSKIJ_DOUBLE, -1.0, 0.0, dict(theta=0.3), None, None)
+
+
 class TestFloatLoopMatchesTheBlockLoop:
     # A relaxed unguarded run at d = 1 takes the float loop; the block loop, called on the
     # same checked start, is its reference, bit for bit.
@@ -893,6 +897,46 @@ class TestFloatLoopMatchesTheBlockLoop:
             got = _bits(lambda: run_scheme(f, config, [x0], [y0], target))
             want = _bits(lambda: iteration_mod._block_loop(*iteration_mod._start(f, [x0], [y0], config, target, scheme)))
         assert got == want
+
+    @settings(deadline=None, max_examples=100)
+    @given(_line_runs())
+    @example(_NONFINITE_LINE_RUN)
+    def test_the_evaluator_is_handed_the_same_arguments(self, run):
+        # Trace equality cannot see x and y swapped in a call when F is symmetric, as example_4_1
+        # is; the bits of every argument, in call order, can.
+        logs = {loop: _argument_log(run, loop) for loop in ("run_scheme", "_block_loop")}
+        assert logs["run_scheme"] == logs["_block_loop"]
+
+    def test_the_explicit_run_ends_diverged_nonfinite(self):
+        log, ended = _argument_log(_NONFINITE_LINE_RUN, "run_scheme")
+        assert ended == DIVERGED_NONFINITE and len(log) == 8
+
+
+def _argument_log(run, loop):
+    # float.hex of the x and y of every evaluator call of a _line_runs() run, in call order,
+    # and the status it ended with or the exception it raised.
+    kind, a, b, c, radius, scheme, x0, y0, kw, target, cap = run
+    f = _line_operator(kind, a, b, c, radius)
+    log = []
+
+    def logging(x, y, g=f.evaluator):
+        log.append(_hexes(x.tolist()) + _hexes(y.tolist()))
+        return g(x, y)
+
+    f = dataclasses.replace(f, evaluator=logging)
+    config = cfg(scheme, **kw)
+    y0 = x0 if scheme == KRASNOSELSKIJ_DIAGONAL else y0
+    target = None if target is None else [target]
+    with mock.patch.object(iteration_mod, "TRACE_CAP", cap or iteration_mod.TRACE_CAP):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                if loop == "run_scheme":
+                    ended = run_scheme(f, config, [x0], [y0], target).status
+                else:
+                    ended = iteration_mod._block_loop(*iteration_mod._start(f, [x0], [y0], config, target, scheme)).status
+        except ValueError as exc:
+            ended = type(exc)
+    return log, ended
 
 
 class TestFejerMonotonicity:
