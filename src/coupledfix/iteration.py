@@ -44,7 +44,9 @@ the representations do differently is four small functions, bound at entry:
 - ``images`` copies the pair once, into a fresh block ``q = [x, y, y, x]``
   ((4, d), or (4, 1) for floats), and calls ``eval`` twice, ``F(x, y)`` on
   rows 0 and 1 and ``F(y, x)`` on rows 2 and 3: two calls a step, plus two
-  at the final pair, as the benchmark's pins count them. Each call gets rows
+  at the final pair, as the benchmark's pins count them. On floats, an evaluator
+  marked ``takes_floats`` (see ``operators``) skips the block: both calls take
+  the floats themselves, which are immutable. Each call gets rows
   of its own, so an evaluator that writes into its arguments changes neither
   the pair nor the other call's rows. Both calls take ``eval``'s checked
   entry, which checks only the shape of the image: the rows are finite rows
@@ -77,7 +79,7 @@ with a NaN kept, and that is what the float ``gap`` takes: for a square in
 the scaled path, which gives |v| too. The relaxed update (``w * z`` and then
 ``+= theta * fz`` is two roundings, as the float expression is) and the escape
 test against the same bounds, slack included, are each the same IEEE
-operation on the same operands.
+operation on the same operands, and so is a marked evaluator's float form.
 """
 
 from __future__ import annotations
@@ -90,7 +92,8 @@ from functools import partial
 import numpy as np
 
 from .operators import BivariateOperator, CoupledPair, NonFiniteEvaluationError
-from .space import _as_count, _as_number, _as_tol, _clamp, _count_nonzero, _max_row_norm, _row_norms, as_vector
+from .space import _as_count, _as_number, _as_tol, _clamp, _count_nonzero, _max_row_norm, _row_norms, _trusted
+from .space import as_vector
 from .space import project_box  # noqa: F401 (perfbench/tracing.py wraps it here)
 
 __all__ = [
@@ -247,7 +250,11 @@ def _is_two_cycle(sz: np.ndarray, sprev: np.ndarray, sprev2: np.ndarray, s: floa
     # iterates are near the limit). Scaling by s is exact away from subnormals,
     # so no decision changes, and it keeps every difference, norm and scale
     # below the float maximum: each norm is at most s * 2 sqrt(d) * max <= max / sqrt(d).
-    nx, ny, nqx, nqy, ndx, ndy = _row_norms(np.concatenate((sz, sprev2, sz - sprev2))).tolist()
+    v = np.concatenate((sz, sprev2, sz - sprev2))
+    sq = np.vecdot(v, v)
+    # Six squares in range take math.sqrt, which rounds as _row_norms' np.sqrt does; else its path.
+    norms = map(math.sqrt, sq.tolist()) if _count_nonzero(_trusted(sq)) == 6 else _row_norms(v).tolist()
+    nx, ny, nqx, nqy, ndx, ndy = norms
     sx = s + nx + nqx
     sy = s + ny + nqy
     if ndx > _CYCLE_RTOL * sx or ndy > _CYCLE_RTOL * sy:
@@ -311,11 +318,17 @@ def _iterate(f: BivariateOperator, z, target_v, cfg: SchemeConfig, low, high, on
             a, b = abs(u[0] - v[0]), abs(u[1] - v[1])
             return a if a >= b or a != a else b
 
-        def images(z):
-            x, y = z
-            q = np.array((x, y, y, x))[:, None]  # fresh rows for both evaluations, as below
-            fz = evaluate(q[0], q[1], _checked=True).item(), evaluate(q[2], q[3], _checked=True).item()
-            return fz, gap(z, fz)
+        if getattr(f.evaluator, "takes_floats", False):
+            def images(z):
+                x, y = z  # floats are immutable: no fresh copies needed
+                fz = evaluate(x, y, _checked=True), evaluate(y, x, _checked=True)
+                return fz, gap(z, fz)
+        else:
+            def images(z):
+                x, y = z
+                q = np.array((x, y, y, x))[:, None]  # fresh rows for both evaluations, as below
+                fz = evaluate(q[0], q[1], _checked=True).item(), evaluate(q[2], q[3], _checked=True).item()
+                return fz, gap(z, fz)
 
         def finite(fz):
             return math.isfinite(fz[0]) and math.isfinite(fz[1])

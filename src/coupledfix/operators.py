@@ -27,6 +27,15 @@ Built-in registry (addressable by name from the CLI):
 
 All operators are immutable after construction and evaluation is pure, so
 instances are safe for concurrent use.
+
+An evaluator that also maps two Python floats to one float, bit for bit with its
+(1,)-array form, carries ``takes_floats = True``: the built-ins' and, at d = 1,
+``make_linear_operator``'s do, and the engine runs such an operator's d = 1 runs
+on floats. The mark rides on the callable, not the operator, so
+``dataclasses.replace(f, evaluator=g)`` drops it: a wrapper that reads arrays is
+handed arrays, and one that counts calls sees each. A float form must not raise,
+and Python raises ``ZeroDivisionError`` where numpy returns inf, so only
+evaluators that divide by constants alone are marked.
 """
 
 from __future__ import annotations
@@ -52,6 +61,12 @@ __all__ = [
     "get_operator",
     "operator_names",
 ]
+
+
+def _takes_floats(evaluator: Callable) -> Callable:
+    # Marks an evaluator whose float form is bit for bit its (1,)-array form; see the module docstring.
+    evaluator.takes_floats = True
+    return evaluator
 
 
 class NonFiniteEvaluationError(ValueError):
@@ -144,7 +159,8 @@ class BivariateOperator:
         finite. So this entry neither copies nor checks the arguments, and it
         leaves the finiteness count of the image to the engine, which makes
         it once on both images of a step; the image is still coerced with
-        ``asarray`` and its shape checked (``OutputDimensionError``).
+        ``asarray`` and its shape checked (``OutputDimensionError``). Handed two
+        floats, for an evaluator with ``takes_floats``, it returns a ``float`` or raises that.
         """
         if not _checked:
             x, y = _as_array(x, "x"), _as_array(y, "y")  # fresh copies
@@ -163,6 +179,11 @@ class BivariateOperator:
                 raise ValueError(
                     f"operator {self.name!r} has dimension {d}, got arguments of dimension {dx} and {dy}"
                 )
+        elif type(x) is float:
+            out = self.evaluator(x, y)
+            if type(out) is not float:  # np.float64 included
+                raise OutputDimensionError(f"operator {self.name!r} returned {type(out).__name__} for floats")
+            return out
         out = np.asarray(self.evaluator(x, y), dtype=float)
         if out.shape != x.shape:
             raise OutputDimensionError(f"operator {self.name!r} returned shape {out.shape}, expected {x.shape}")
@@ -244,7 +265,11 @@ def make_linear_operator(
             raise ValueError("fixed point requested but (I - A - B) is singular") from exc
         known = (CoupledPair(xbar, xbar),)
 
+    a1, b1, c1 = a.item(0), b.item(0), c.item(0)  # read only at d = 1
     def evaluator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        if type(x) is float:
+            # a @ x adds the product to 0.0, so [[2.0]] @ [-0.0] is +0.0 where 2.0 * -0.0 is -0.0.
+            return (a1 * x + 0.0) + (b1 * y + 0.0) + c1
         if x.ndim == 1:
             return a @ x + b @ y + c
         # One matrix-vector product per row: equal to ``a @ x`` row by row,
@@ -254,7 +279,7 @@ def make_linear_operator(
     return BivariateOperator(
         name=name,
         domain=domain,
-        evaluator=evaluator,
+        evaluator=_takes_floats(evaluator) if d == 1 else evaluator,
         known_coupled_fixed_points=known,
         range_in_domain=_interval_range_contained(a, b, c, domain),
     )
@@ -266,7 +291,7 @@ def example_2_1() -> BivariateOperator:
     return BivariateOperator(
         name="example_2_1",
         domain=Box([-1.0], [1.0]),
-        evaluator=lambda x, y: (x - 2.0 * y) / 3.0,
+        evaluator=_takes_floats(lambda x, y: (x - 2.0 * y) / 3.0),
         known_coupled_fixed_points=(zero,),
         closed_forms={"picard_double": "picard_example_2_1"},
         range_in_domain=True,
@@ -281,7 +306,7 @@ def example_2_2() -> BivariateOperator:
     return BivariateOperator(
         name="example_2_2",
         domain=Box([-4.0], [4.0]),
-        evaluator=lambda x, y: 4.0 - x * x - 2.0 * y,
+        evaluator=_takes_floats(lambda x, y: 4.0 - x * x - 2.0 * y),
         known_coupled_fixed_points=fixed,
         range_in_domain=False,
     )
@@ -293,7 +318,7 @@ def example_4_1() -> BivariateOperator:
     return BivariateOperator(
         name="example_4_1",
         domain=Box([-1.0], [1.0]),
-        evaluator=lambda x, y: -(x + y) / 2.0,
+        evaluator=_takes_floats(lambda x, y: -(x + y) / 2.0),
         known_coupled_fixed_points=(zero,),
         closed_forms={
             "krasnoselskij_diagonal": "krasnoselskij_example_4_1",

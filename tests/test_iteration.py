@@ -39,6 +39,7 @@ from coupledfix import (
     verify_fejer_monotonicity,
     verify_residual_decay,
 )
+from coupledfix.operators import _takes_floats
 from helpers import blowup, escaper, random_linear_operator, sample_in_box, undefined_outside
 
 
@@ -912,17 +913,32 @@ class TestFloatLoopMatchesTheBlockLoop:
         assert ended == DIVERGED_NONFINITE and len(log) == 8
 
 
-def _argument_log(run, loop):
+class TestMarkedEvaluatorOnFloats:
+    # The float loop evaluates a marked evaluator on floats; its arguments must still be the
+    # block loop's, bit for bit and in call order.
+    @settings(deadline=None, max_examples=100)
+    @given(_line_runs())
+    @example(_NONFINITE_LINE_RUN)
+    @example(("linear", 2.0, 2.0, -0.0, 1.0, KRASNOSELSKIJ_DOUBLE, -0.0, -0.0, dict(theta=0.5), None, None))
+    def test_a_marked_wrapper_is_handed_the_same_arguments(self, run):
+        logs = {loop: _argument_log(run, loop, marked=True) for loop in ("run_scheme", "_block_loop")}
+        assert logs["run_scheme"] == logs["_block_loop"]
+
+
+def _argument_log(run, loop, marked=False):
     # float.hex of the x and y of every evaluator call of a _line_runs() run, in call order,
-    # and the status it ended with or the exception it raised.
+    # and the status it ended with or the exception it raised. A marked log's wrapper takes
+    # floats when the evaluator it wraps does.
     kind, a, b, c, radius, scheme, x0, y0, kw, target, cap = run
     f = _line_operator(kind, a, b, c, radius)
     log = []
 
     def logging(x, y, g=f.evaluator):
-        log.append(_hexes(x.tolist()) + _hexes(y.tolist()))
+        log.append(_hexes(np.ravel(x).tolist()) + _hexes(np.ravel(y).tolist()))
         return g(x, y)
 
+    if marked and getattr(f.evaluator, "takes_floats", False):
+        _takes_floats(logging)
     f = dataclasses.replace(f, evaluator=logging)
     config = cfg(scheme, **kw)
     y0 = x0 if scheme == KRASNOSELSKIJ_DIAGONAL else y0

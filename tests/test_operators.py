@@ -1,14 +1,16 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coupledfix import (
     CONVERGED,
     KRASNOSELSKIJ_DIAGONAL,
+    KRASNOSELSKIJ_DOUBLE,
     PICARD_DOUBLE,
     BivariateOperator,
     Box,
@@ -20,11 +22,13 @@ from coupledfix import (
     get_operator,
     is_coupled_fixed_point,
     krasnoselskij_diagonal,
+    krasnoselskij_double,
     make_linear_operator,
     norm,
     operator_names,
     run_scheme,
 )
+from coupledfix.operators import _takes_floats
 from helpers import random_linear_operator, sample_in_box
 
 
@@ -401,6 +405,80 @@ class TestRegistry:
 
     def test_fresh_instances(self):
         assert get_operator("example_2_1") is not get_operator("example_2_1")
+
+
+def _float_form_operator(kind, a, b, c):
+    # An operator whose evaluator is marked as taking floats: a d = 1 linear one, or a built-in.
+    if kind == "linear":
+        return make_linear_operator([[a]], [[b]], [c], Box([-1.0], [1.0]), attach_fixed_point=False)
+    return get_operator(kind)
+
+
+_ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+_FLOAT_FORM_KINDS = st.sampled_from(["linear", "example_2_1", "example_2_2", "example_4_1"])
+
+
+class TestFloatForms:
+    @settings(deadline=None, max_examples=300)
+    @given(_FLOAT_FORM_KINDS, _ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT)
+    # Signed zeros: a @ x adds the product to +0.0, so [[2.0]] @ [-0.0] is +0.0.
+    @example("linear", 2.0, 2.0, -0.0, -0.0, -0.0)
+    @example("linear", -0.0, -0.0, -0.0, 1.0, 1.0)
+    @example("example_4_1", 0.0, 0.0, 0.0, -0.0, -0.0)
+    @example("example_2_1", 0.0, 0.0, 0.0, -0.0, 0.0)
+    # Subnormal products, arguments and shift.
+    @example("linear", 0.5, 1e-300, 5e-324, 5e-324, 1e-20)
+    @example("linear", 1e-300, -1e-10, 0.0, 2.0**-1022, 2.0**-1030)
+    @example("example_2_2", 0.0, 0.0, 0.0, 1e-170, 5e-324)
+    # Products that overflow to +inf and to -inf, and inf - inf.
+    @example("linear", 1e308, 1e308, 0.0, 10.0, 10.0)
+    @example("linear", -1e308, 1.0, -1e308, 10.0, 1.0)
+    @example("example_2_2", 0.0, 0.0, 0.0, 1e200, 0.0)
+    @example("example_2_1", 0.0, 0.0, 0.0, 1e308, -1e308)
+    @example("linear", 1e308, 1e308, 0.0, 10.0, -10.0)
+    @example("example_2_2", 0.0, 0.0, 0.0, 1e200, -1e308)
+    def test_the_float_form_is_the_array_form_bit_for_bit(self, kind, a, b, c, x, y):
+        evaluator = _float_form_operator(kind, a, b, c).evaluator
+        assert evaluator.takes_floats is True
+        got = evaluator(x, y)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = evaluator(np.array([x]), np.array([y]))[0]
+        assert type(got) is float
+        assert got.hex() == float(want).hex()
+
+
+_DOUBLE_RUN = SchemeConfig(KRASNOSELSKIJ_DOUBLE, theta=0.3, tol=1e-300, max_iter=20)
+
+
+class TestFloatDeclarationFollowsTheCallable:
+    def test_which_evaluators_are_marked(self):
+        for name in operator_names():
+            assert get_operator(name).evaluator.takes_floats is True
+        assert make_linear_operator([[0.5]], [[0.25]], [0.0], Box([-1.0], [1.0])).evaluator.takes_floats is True
+        plane = make_linear_operator(np.eye(2) / 4, np.eye(2) / 4, [0.0, 0.0], Box([-1.0, -1.0], [1.0, 1.0]))
+        assert not hasattr(plane.evaluator, "takes_floats")
+
+    @pytest.mark.parametrize("mark", [False, True])
+    def test_a_replaced_evaluator_carries_its_own_declaration(self, mark):
+        base = get_operator("example_4_1")
+        seen = []
+
+        def g(x, y):
+            seen.append((type(x), np.shape(x), type(y), np.shape(y)))
+            return base.evaluator(x, y)
+
+        f = dataclasses.replace(base, evaluator=_takes_floats(g) if mark else g)
+        trace = krasnoselskij_double(f, [0.5], [-0.25], _DOUBLE_RUN)
+        assert len(seen) == 2 * (trace.n_steps + 1)
+        assert set(seen) == {(float, (), float, ())} if mark else {(np.ndarray, (1,), np.ndarray, (1,))}
+        assert trace == krasnoselskij_double(base, [0.5], [-0.25], _DOUBLE_RUN)
+
+    @pytest.mark.parametrize("image", [lambda v: np.array([v]), np.float64], ids=["array", "float64"])
+    def test_a_marked_evaluator_that_returns_no_float_is_named(self, image):
+        base = get_operator("example_4_1")
+        f = dataclasses.replace(base, evaluator=_takes_floats(lambda x, y: image(base.evaluator(x, y))))
+        with pytest.raises(OutputDimensionError, match="^operator 'example_4_1' returned "):
+            krasnoselskij_double(f, [0.5], [-0.25], _DOUBLE_RUN)
 
 
 PAIR_MESSAGES = {
