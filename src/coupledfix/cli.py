@@ -299,7 +299,8 @@ def _cmd_sweep(spec: dict) -> int:
     lines = ["theta,iterations,final_residual,status"]
     worst = 0
     for theta in sorted(thetas):
-        trace = run_scheme(f, dataclasses.replace(base, theta=theta), x0, y0)
+        # The rows print only the final entry; a cap of 1 keeps it and step 0.
+        trace = run_scheme(f, dataclasses.replace(base, theta=theta), x0, y0, trace_cap=1)
         worst = max(worst, _EXIT_BY_STATUS[trace.status])
         lines.append(
             f"{format_float(theta)},{trace.n_steps},"

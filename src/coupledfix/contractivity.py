@@ -385,4 +385,6 @@ _STRING_OR_INFINITY = re.compile(r'("(?:[^"\\]|\\.)*")|Infinity')
 def report_to_json(report: ContractivityReport) -> str:
     """The report as JSON; an infinite float is written ``1e999``, as a trace writes it."""
     text = json.dumps(report_to_dict(report), indent=2)
+    if "Infinity" not in text:
+        return text
     return _STRING_OR_INFINITY.sub(lambda m: m.group(1) or "1e999", text)

@@ -262,12 +262,14 @@ def _is_two_cycle(sz: np.ndarray, sprev: np.ndarray, sprev2: np.ndarray, s: floa
     return _max_row_norm(sprev - sprev2) > _CYCLE_MIN_AMPLITUDE * max(sx, sy)
 
 
-def _start(f: BivariateOperator, x0, y0, cfg: SchemeConfig, target, scheme: str):
+def _start(f: BivariateOperator, x0, y0, cfg: SchemeConfig, target, scheme: str, trace_cap=None):
     """Check a run's inputs once; return what the loop takes: ``f``, the pair ``z`` as a
-    (2, d) block, the target or None, the config as run (``guard_domain`` resolved) and the
-    escape bounds."""
+    (2, d) block, the target or None, the config as run (``guard_domain`` resolved), the
+    escape bounds and the stride of the kept entries (``TRACE_CAP``, read now, when
+    ``trace_cap`` is None)."""
     if cfg.scheme != scheme:
         raise ValueError(f"config scheme is {cfg.scheme!r}, expected {scheme!r}")
+    cap = _as_count(TRACE_CAP if trace_cap is None else trace_cap, "trace_cap", 1)
     x = as_vector(x0, "x0")
     y = as_vector(y0, "y0")
     d = f.dim
@@ -287,20 +289,25 @@ def _start(f: BivariateOperator, x0, y0, cfg: SchemeConfig, target, scheme: str)
     # to the float maximum they round to inf, which is what they mean there.
     low, high = box.lower - escape_slack, box.upper + escape_slack
     guard = cfg.guard_domain or not f.range_in_domain
-    return f, np.array((x, y)), target_v, replace(cfg, guard_domain=guard), low, high
+    # An entry is kept every stride-th step, the least stride that keeps at most
+    # cap of them, and at the step where the run ends.
+    stride = -(-(cfg.max_iter + 1) // cap)
+    return f, np.array((x, y)), target_v, replace(cfg, guard_domain=guard), low, high, stride
 
 
 # Every overflow in a run ends in a status or in _row_norms' scaled path for squares
 # out of range, so numpy's warnings about it would say nothing the trace does not.
 @np.errstate(over="ignore", invalid="ignore")
-def _run_loop(f: BivariateOperator, x0, y0, cfg: SchemeConfig, target, scheme: str) -> IterationTrace:
-    start = _start(f, x0, y0, cfg, target, scheme)
-    _, z, _, run_cfg, _, _ = start
+def _run_loop(
+    f: BivariateOperator, x0, y0, cfg: SchemeConfig, target, scheme: str, trace_cap
+) -> IterationTrace:
+    start = _start(f, x0, y0, cfg, target, scheme, trace_cap)
+    _, z, _, run_cfg, *_ = start
     on_floats = z.shape[1] == 1 and not run_cfg.guard_domain and scheme != PICARD_DOUBLE
     return _float_loop(*start) if on_floats else _block_loop(*start)
 
 
-def _iterate(f: BivariateOperator, z, target_v, cfg: SchemeConfig, low, high, on_floats: bool) -> IterationTrace:
+def _iterate(f: BivariateOperator, z, target_v, cfg: SchemeConfig, low, high, stride, on_floats) -> IterationTrace:
     # The one loop, on the pair as two floats or as a (2, d) block; see the module docstring.
     evaluate = f.eval
     picard = cfg.scheme == PICARD_DOUBLE
@@ -366,9 +373,6 @@ def _iterate(f: BivariateOperator, z, target_v, cfg: SchemeConfig, low, high, on
             return zn, _count_nonzero(zn < low) or _count_nonzero(zn > high)
 
     tol, max_iter = cfg.tol, cfg.max_iter
-    # An entry is kept every stride-th step (the least stride that keeps at
-    # most TRACE_CAP of them) and at the step where the run ends.
-    stride = -(-(max_iter + 1) // TRACE_CAP)
     steps: list[int] = []
     kept: list = []  # the pair of each kept entry, as the loop carries it
     residuals: list[float] = []
@@ -428,7 +432,7 @@ _float_loop = partial(_iterate, on_floats=True)
 
 
 def krasnoselskij_diagonal(
-    f: BivariateOperator, x0, cfg: SchemeConfig, target=None
+    f: BivariateOperator, x0, cfg: SchemeConfig, target=None, *, trace_cap=None
 ) -> IterationTrace:
     """Run the relaxed diagonal scheme from x0.
 
@@ -447,11 +451,11 @@ def krasnoselskij_diagonal(
     pair satisfies the coupled fixed point residual bound ``tol`` exactly
     by the stopping rule.
     """
-    return _run_loop(f, x0, x0, cfg, target, KRASNOSELSKIJ_DIAGONAL)
+    return _run_loop(f, x0, x0, cfg, target, KRASNOSELSKIJ_DIAGONAL, trace_cap)
 
 
 def krasnoselskij_double(
-    f: BivariateOperator, x0, y0, cfg: SchemeConfig, target=None
+    f: BivariateOperator, x0, y0, cfg: SchemeConfig, target=None, *, trace_cap=None
 ) -> IterationTrace:
     """Run the componentwise relaxed double scheme from (x0, y0).
 
@@ -459,10 +463,12 @@ def krasnoselskij_double(
     scheme from x0: the two components then evolve through the exact same
     floating-point operations.
     """
-    return _run_loop(f, x0, y0, cfg, target, KRASNOSELSKIJ_DOUBLE)
+    return _run_loop(f, x0, y0, cfg, target, KRASNOSELSKIJ_DOUBLE, trace_cap)
 
 
-def picard_double(f: BivariateOperator, x0, y0, cfg: SchemeConfig, target=None) -> IterationTrace:
+def picard_double(
+    f: BivariateOperator, x0, y0, cfg: SchemeConfig, target=None, *, trace_cap=None
+) -> IterationTrace:
     """Run the plain double iteration from (x0, y0).
 
     No claim is made that the final pair of a converged trace is near any
@@ -470,18 +476,20 @@ def picard_double(f: BivariateOperator, x0, y0, cfg: SchemeConfig, target=None) 
     weak nonexpansiveness bound, this iteration can converge to a limit
     determined by the starting pair, or oscillate (see the cycle flag).
     """
-    return _run_loop(f, x0, y0, cfg, target, PICARD_DOUBLE)
+    return _run_loop(f, x0, y0, cfg, target, PICARD_DOUBLE, trace_cap)
 
 
-def run_scheme(f: BivariateOperator, cfg: SchemeConfig, x0, y0=None, target=None) -> IterationTrace:
+def run_scheme(
+    f: BivariateOperator, cfg: SchemeConfig, x0, y0=None, target=None, *, trace_cap=None
+) -> IterationTrace:
     """Dispatch to the engine selected by ``cfg.scheme``; the double schemes need ``y0``."""
     if cfg.scheme == KRASNOSELSKIJ_DIAGONAL:
-        return krasnoselskij_diagonal(f, x0, cfg, target)
+        return krasnoselskij_diagonal(f, x0, cfg, target, trace_cap=trace_cap)
     if y0 is None:
         raise ValueError(f"y0: required for scheme {cfg.scheme}")
     if cfg.scheme == KRASNOSELSKIJ_DOUBLE:
-        return krasnoselskij_double(f, x0, y0, cfg, target)
-    return picard_double(f, x0, y0, cfg, target)
+        return krasnoselskij_double(f, x0, y0, cfg, target, trace_cap=trace_cap)
+    return picard_double(f, x0, y0, cfg, target, trace_cap=trace_cap)
 
 
 @dataclass

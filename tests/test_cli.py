@@ -7,12 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import coupledfix.cli as cli_mod
 from coupledfix import (
     KRASNOSELSKIJ_DIAGONAL,
     SchemeConfig,
     format_float,
     get_operator,
     krasnoselskij_diagonal,
+    run_scheme,
     trace_from_json,
 )
 from coupledfix.cli import build_parser, main, parse_problem_file
@@ -649,6 +651,28 @@ class TestSweep:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "theta,iterations,final_residual,status"
         assert len(lines) == 3 and all(line.endswith(",converged") for line in lines[1:])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--operator", "example_4_1", "--x0", "[1]", "--thetas", "0.1,0.3,0.9"),
+         ("--operator", "example_2_2", "--x0", "[3]", "--thetas", "0.1,0.3"),  # guarded: on the block
+         ("--operator", "example_4_1", "--scheme", "krasnoselskij_double", "--x0", "[1]", "--y0", "[-0.5]",
+          "--thetas", "0.2", "--max-iter", "5")],
+    )
+    def test_each_run_keeps_at_most_two_entries(self, monkeypatch, capsys, argv):
+        # A row prints only its run's final entry, so no run keeps more than step 0 and that one.
+        traces = []
+
+        def recorded(*args, **kwargs):
+            traces.append(run_scheme(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(cli_mod, "run_scheme", recorded)
+        run_cli("sweep", *argv)
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+        assert [int(row[1]) for row in rows] == [trace.n_steps for trace in traces]
+        assert min(trace.n_steps for trace in traces) > 1
+        assert all(len(trace.step_indices) <= 2 for trace in traces)
 
     def test_single_theta_matches_run(self, capsys):
         code = run_cli(

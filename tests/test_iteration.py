@@ -609,6 +609,44 @@ class TestTraceMechanics:
         assert len(tr.distances_to_target) == len(tr.iterates)
         assert tr.distances_to_target[-1] == 2.0**1022
 
+    @pytest.mark.parametrize(
+        "cap, message",
+        [(0, "trace_cap must be >= 1, got 0"),
+         (-1, "trace_cap must be >= 1, got -1"),
+         (1.5, "trace_cap must be an integer, got 1.5"),
+         (True, "trace_cap must be an integer, got True"),
+         ("2", "trace_cap must be an integer, got '2'")],
+    )
+    @pytest.mark.parametrize("entry", ["run_scheme", *iteration_mod.SCHEMES])
+    def test_a_bad_trace_cap_is_named_before_any_evaluation(self, entry, cap, message):
+        calls = []
+        base = get_operator("example_4_1")
+        f = dataclasses.replace(base, evaluator=lambda x, y: calls.append(None) or base.evaluator(x, y))
+        runs = {
+            "run_scheme": lambda: run_scheme(f, cfg(KRASNOSELSKIJ_DOUBLE), [1.0], [0.5], trace_cap=cap),
+            PICARD_DOUBLE: lambda: picard_double(f, [1.0], [0.5], cfg(PICARD_DOUBLE), trace_cap=cap),
+            KRASNOSELSKIJ_DIAGONAL: lambda: krasnoselskij_diagonal(
+                f, [1.0], cfg(KRASNOSELSKIJ_DIAGONAL), trace_cap=cap
+            ),
+            KRASNOSELSKIJ_DOUBLE: lambda: krasnoselskij_double(
+                f, [1.0], [0.5], cfg(KRASNOSELSKIJ_DOUBLE), trace_cap=cap
+            ),
+        }
+        with pytest.raises(ValueError) as err:
+            runs[entry]()
+        assert str(err.value) == message
+        assert calls == []
+
+    def test_no_trace_cap_reads_trace_cap_at_call_time(self, monkeypatch):
+        f = get_operator("example_4_1")
+        config = cfg(KRASNOSELSKIJ_DIAGONAL, theta=1e-5, max_iter=2000, tol=1e-300)
+        thinned = _bits(lambda: krasnoselskij_diagonal(f, [1.0], config, trace_cap=50))
+        assert thinned[1] == [*range(0, 2001, 41), 2000]  # stride ceil(2001 / 50) = 41
+        monkeypatch.setattr(iteration_mod, "TRACE_CAP", 50)
+        assert _bits(lambda: krasnoselskij_diagonal(f, [1.0], config)) == thinned
+        assert _bits(lambda: run_scheme(f, config, [1.0], trace_cap=None)) == thinned
+        assert krasnoselskij_diagonal(f, [1.0], config, trace_cap=1).step_indices == [0, 2000]
+
     def test_seed_carried_in_config(self):
         f = get_operator("example_4_1")
         tr = krasnoselskij_diagonal(f, [1.0], cfg(KRASNOSELSKIJ_DIAGONAL, seed=77))
@@ -911,6 +949,49 @@ class TestFloatLoopMatchesTheBlockLoop:
     def test_the_explicit_run_ends_diverged_nonfinite(self):
         log, ended = _argument_log(_NONFINITE_LINE_RUN, "run_scheme")
         assert ended == DIVERGED_NONFINITE and len(log) == 8
+
+    @settings(deadline=None, max_examples=100)
+    @given(_line_runs(), st.booleans())
+    @example(_NONFINITE_LINE_RUN, False)
+    # The iterates leave the box: the run ends left_domain.
+    @example(
+        ("escaper", 0.0, 0.0, 0.0, 1.0, KRASNOSELSKIJ_DOUBLE, 0.5, -0.5, dict(theta=0.9, max_iter=50), None, None), False
+    )
+    # F = 3x overflows from next to the float maximum; the default run is thinned by a cap of 3.
+    @example((
+        "claimed", 3.0, 0.0, 0.0, FLOAT_MAX, KRASNOSELSKIJ_DOUBLE, 1e300, -1e300, dict(theta=0.5, max_iter=200), 0.0, 3,
+    ), False)
+    # Picard on F(x, y) = -y: a 2-cycle, found at step 2.
+    @example(("linear", 0.0, -1.0, 0.0, 1.0, KRASNOSELSKIJ_DOUBLE, 0.5, 0.25, dict(theta=0.5), None, None), True)
+    def test_a_trace_cap_of_1_keeps_step_0_and_the_final_entry(self, run, picard):
+        # On both loops and all three schemes: the same steps are taken, and only the kept
+        # entries differ from the default run's.
+        kind, a, b, c, radius, scheme, x0, y0, kw, target, cap = run
+        scheme = PICARD_DOUBLE if picard else scheme
+        f = _line_operator(kind, a, b, c, radius)
+        config = cfg(scheme, **kw)
+        y0 = x0 if scheme == KRASNOSELSKIJ_DIAGONAL else y0
+        target = None if target is None else [target]
+        runs = {
+            "run_scheme": lambda trace_cap: run_scheme(f, config, [x0], [y0], target, trace_cap=trace_cap),
+            "_block_loop": lambda trace_cap: iteration_mod._block_loop(
+                *iteration_mod._start(f, [x0], [y0], config, target, scheme, trace_cap)
+            ),
+        }
+        with mock.patch.object(iteration_mod, "TRACE_CAP", cap or iteration_mod.TRACE_CAP):
+            for loop in runs.values():
+                default, capped = _bits(lambda: loop(None)), _bits(lambda: loop(1))
+                if isinstance(default[0], type):  # raised: the capped run raises the same
+                    assert capped == default
+                    continue
+                assert capped[1] == sorted({0, default[1][-1]})
+                assert _ends(capped) == _ends(default)
+
+
+def _ends(bits):
+    # Of a run's _bits, all but the steps and the entries between the first and the last.
+    status, _, config, name, cycle, pairs, residuals, distances, _ = bits
+    return status, config, name, cycle, pairs[0], pairs[-1], residuals[-1], distances and distances[-1]
 
 
 class TestMarkedEvaluatorOnFloats:
