@@ -27,10 +27,13 @@ operator does not map its domain into itself, or when ``guard_domain`` is
 set; the trace's config records whether the run clamped. Otherwise an
 iterate escaping the box anyway stops the run with status ``left_domain``.
 
-Traces record every iterate up to a cap of 10**5 entries; longer runs keep
-every k-th iterate (k minimal to stay under the cap) plus the final one,
-with explicit step indices. Each run is inherently sequential; distinct
-runs share no mutable state and may execute concurrently.
+Traces record every iterate up to a cap of ``trace_cap`` entries (when None,
+``TRACE_CAP``, 10**5, as it reads at the call); longer runs keep every k-th
+iterate (k minimal to stay under the cap) plus the final one, with explicit
+step indices. The cap picks only the entries kept, not the steps taken: a cap
+of 1 keeps step 0 and the final entry, all that ``sweep`` prints. Each run is
+inherently sequential; distinct runs share no mutable state and may execute
+concurrently.
 
 A run checks its inputs once, at entry (``_start``), and then runs one loop,
 ``_iterate``, on one of two representations of the pair. A relaxed run at
@@ -307,7 +310,9 @@ def _run_loop(
     return _float_loop(*start) if on_floats else _block_loop(*start)
 
 
-def _iterate(f: BivariateOperator, z, target_v, cfg: SchemeConfig, low, high, stride, on_floats) -> IterationTrace:
+def _iterate(
+    f: BivariateOperator, z, target_v, cfg: SchemeConfig, low, high, stride: int, on_floats: bool
+) -> IterationTrace:
     # The one loop, on the pair as two floats or as a (2, d) block; see the module docstring.
     evaluate = f.eval
     picard = cfg.scheme == PICARD_DOUBLE
@@ -446,6 +451,8 @@ def krasnoselskij_diagonal(
         Must have ``scheme == "krasnoselskij_diagonal"``.
     target : vector, optional
         Known fixed point; when given, the trace records distances to it.
+    trace_cap : int, optional, keyword-only (all four run functions take it)
+        Most entries kept before the trace is thinned; None means ``TRACE_CAP``.
 
     The trace stores diagonal pairs (x_n, x_n). On convergence the final
     pair satisfies the coupled fixed point residual bound ``tol`` exactly
