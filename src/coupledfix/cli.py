@@ -237,7 +237,10 @@ def _build_operator(spec: dict):
             raise CliError(f"{key}: required for operator = linear")
     try:
         domain = Box(spec["lower"], spec["upper"])
-        return make_linear_operator(spec["a_matrix"], spec["b_matrix"], spec["shift"], domain)
+        # No command reads the solved fixed point, so none is attached (nor the norms computed).
+        return make_linear_operator(
+            spec["a_matrix"], spec["b_matrix"], spec["shift"], domain, attach_fixed_point=False
+        )
     except ValueError as exc:
         raise CliError(f"operator: {exc}") from exc
 

@@ -72,8 +72,9 @@ the representations do differently is four small functions, bound at entry:
 Picard runs only on the block; its 2-cycle test, in the status chain, scales
 each pair once and reads the last three from one stacked block. Nothing
 writes into a pair the loop has made, so every recorded pair owns its rows;
-the float pairs become (2, 1) blocks at the end, rows of one (m, 2, 1)
-array, no two entries sharing a row.
+at the end the m kept float pairs become rows of one fresh (2, m, 1) array,
+x of each entry in the first half and y in the second, no two entries
+sharing a row.
 
 The two representations give the same trace, bit for bit. At d = 1 the
 block's residual, the larger row norm, is ``max(|x - F(x, y)|, |y - F(y, x)|)``
@@ -295,7 +296,9 @@ def _start(f: BivariateOperator, x0, y0, cfg: SchemeConfig, target, scheme: str,
     # An entry is kept every stride-th step, the least stride that keeps at most
     # cap of them, and at the step where the run ends.
     stride = -(-(cfg.max_iter + 1) // cap)
-    return f, np.array((x, y)), target_v, replace(cfg, guard_domain=guard), low, high, stride
+    # A config already holding the resolved guard is the config as run: no checked copy.
+    run_cfg = cfg if cfg.guard_domain == guard else replace(cfg, guard_domain=guard)
+    return f, np.array((x, y)), target_v, run_cfg, low, high, stride
 
 
 # Every overflow in a run ends in a status or in _row_norms' scaled path for squares
@@ -426,8 +429,10 @@ def _iterate(
             z, escaped = advance(z, fz)
             n += 1
 
-    blocks = np.array(kept).reshape(-1, 2, 1) if on_floats else kept
-    iterates = [CoupledPair._of(pair[0], pair[1]) for pair in blocks]
+    xs, ys = zip(*kept)  # every entry's x, and every entry's y: rows of the blocks, or floats
+    if on_floats:
+        xs, ys = np.array((xs, ys))[..., None]
+    iterates = list(map(CoupledPair._of, xs, ys))
     return IterationTrace(steps, iterates, residuals, distances, status, cfg, f.name, cycle)
 
 

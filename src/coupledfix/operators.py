@@ -236,11 +236,15 @@ def make_linear_operator(
 ) -> BivariateOperator:
     """Build F(x, y) = A x + B y + c on the given box domain.
 
-    When the spectral norms satisfy ``||A|| + ||B|| < 1`` (or when
-    ``attach_fixed_point=True`` is forced), the equal-component coupled
+    ``attach_fixed_point`` decides whether the equal-component coupled
     fixed point solving ``(I - A - B) xbar = c`` is attached to the
-    operator metadata. Range containment in the domain is decided exactly
-    by interval arithmetic.
+    operator metadata: True attaches it (a singular system is a
+    ``ValueError``), False attaches nothing, and None, the default,
+    attaches it exactly when the spectral norms satisfy
+    ``||A|| + ||B|| < 1``. Only None computes the two norms, and only an
+    attached point is solved for, so False costs neither; the CLI builds
+    its linear operators so, since no command reads the point. Range
+    containment in the domain is decided exactly by interval arithmetic.
     """
     a = _as_square_matrix(a_matrix, "a_matrix")
     b = _as_square_matrix(b_matrix, "b_matrix")
@@ -253,11 +257,10 @@ def make_linear_operator(
     if domain.dim != d:
         raise ValueError(f"domain has dimension {domain.dim}, matrices are {d}x{d}")
 
-    norm_a = float(np.linalg.norm(a, 2))
-    norm_b = float(np.linalg.norm(b, 2))
     known: tuple[CoupledPair, ...] = ()
-    want_fixed_point = norm_a + norm_b < 1.0 if attach_fixed_point is None else attach_fixed_point
-    if want_fixed_point:
+    if attach_fixed_point is None:  # the one case that reads the norms, two SVDs
+        attach_fixed_point = float(np.linalg.norm(a, 2)) + float(np.linalg.norm(b, 2)) < 1.0
+    if attach_fixed_point:
         system = np.eye(d) - a - b
         try:
             xbar = np.linalg.solve(system, c)

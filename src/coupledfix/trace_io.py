@@ -45,8 +45,13 @@ supplied); an infinite residual is written as ``inf``.
 
 Each writer fills one row template per trace, with one ``%`` a row (the
 JSON ``{n, x, y}`` entry or the CSV line): ``"%.17g" % v`` is the same
-string as ``format_float(v)``, inf and -0.0 included. Only the JSON
-``residuals`` and ``distances`` go value by value, for their ``1e999``.
+string as ``format_float(v)``, inf and -0.0 included. A diagonal trace
+(every entry's x and y the same bits, as in a double run started from
+x0 == y0) formats each x once and writes that text for y too; the test
+stops at the first entry whose x and y differ, so a double trace pays
+for it about once. 0.0 and -0.0 differ in bits, so they never share
+text. Only the JSON ``residuals`` and ``distances`` go value by value,
+for their ``1e999``.
 """
 
 from __future__ import annotations
@@ -78,11 +83,23 @@ def _array(values) -> str:
     return "[" + ", ".join(map(_json_float, values)) + "]"
 
 
+def _diagonal_texts(trace: IterationTrace, template: str):
+    # Each entry's x filled into template, when every entry's y is its x bit for bit
+    # (so the same text); else None. The test stops at the first entry where they differ.
+    if all(p.x.tobytes() == p.y.tobytes() for p in trace.iterates):
+        return [template % tuple(p.x.tolist()) for p in trace.iterates]
+    return None
+
+
 def _iterates(trace: IterationTrace) -> str:
     # One template per trace: "%.17g" % v is format_float(v), and coordinates are finite.
     values = ", ".join(["%.17g"] * trace.iterates[0].dim)
-    row = '    {"n": %s, "x": [' + values + '], "y": [' + values + "]}"
-    rows = [row % (n, *p.x.tolist(), *p.y.tolist()) for n, p in zip(trace.step_indices, trace.iterates)]
+    texts = _diagonal_texts(trace, values)
+    if texts is None:
+        row = '    {"n": %s, "x": [' + values + '], "y": [' + values + "]}"
+        rows = [row % (n, *p.x.tolist(), *p.y.tolist()) for n, p in zip(trace.step_indices, trace.iterates)]
+    else:
+        rows = ['    {"n": %s, "x": [%s], "y": [%s]}' % (n, t, t) for n, t in zip(trace.step_indices, texts)]
     return "[\n" + ",\n".join(rows) + "\n  ]"
 
 
@@ -232,13 +249,22 @@ def trace_to_csv(trace: IterationTrace) -> str:
     )
     # One template per trace, filled once a row: "%.17g" % v is format_float(v), inf included.
     dists = trace.distances_to_target
-    row = "%s," + "%.17g," * (2 * d + 1) + ("%s" if dists is None else "%.17g")
+    last = "%s" if dists is None else "%.17g"
     if dists is None:  # the last cell is empty
         dists = itertools.repeat("")
     lines = [",".join(header)]
-    lines += [
-        row % (n, *p.x.tolist(), *p.y.tolist(), r, dist)
-        for n, p, r, dist in zip(trace.step_indices, trace.iterates, trace.residuals, dists)
-    ]
+    texts = _diagonal_texts(trace, "%.17g," * d)
+    if texts is None:
+        row = "%s," + "%.17g," * (2 * d + 1) + last
+        lines += [
+            row % (n, *p.x.tolist(), *p.y.tolist(), r, dist)
+            for n, p, r, dist in zip(trace.step_indices, trace.iterates, trace.residuals, dists)
+        ]
+    else:
+        row = "%s,%s%s%.17g," + last
+        lines += [
+            row % (n, t, t, r, dist)
+            for n, t, r, dist in zip(trace.step_indices, texts, trace.residuals, dists)
+        ]
     lines.append("")  # one join, to the final newline: no copy of the text is added to it
     return "\n".join(lines)

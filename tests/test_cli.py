@@ -214,6 +214,26 @@ class TestProblemFiles:
         final = doc["iterates"][-1]
         assert final["x"] == pytest.approx([2.0, 2.0], abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("run", "--format", "csv"), ("run", "--target", "[0.125, 0.125]"), ("sweep", "--thetas", "0.3,0.6"),
+         ("analyze", "--samples", "50")],
+    )
+    def test_no_svd_and_no_solve(self, tmp_path, capsys, monkeypatch, argv):
+        # No command reads the fixed point of a linear operator, so none is solved for, nor its norms taken.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the CLI solves for no fixed point")
+
+        for name in ("norm", "svd", "solve"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        p = tmp_path / "problem.txt"
+        p.write_text(  # ||A|| + ||B|| = 0.5: a library default would solve for xbar = [0.125, 0.125]
+            "operator = linear\na_matrix = [[0.25, 0], [0, 0.25]]\nb_matrix = [[0.25, 0], [0, 0.25]]\n"
+            "shift = [0.0625, 0.0625]\nlower = [-1, -1]\nupper = [1, 1]\nx0 = [1, -1]\n"
+        )
+        assert run_cli(argv[0], "--problem", str(p), *argv[1:]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         p = tmp_path / "problem.txt"
         p.write_text("operatr = example_2_1\n")
@@ -718,6 +738,26 @@ class TestSweep:
         )
         assert code == 1
         assert "scheme" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, configs",
+        [(("--operator", "example_4_1", "--x0", "[1]", "--thetas", "0.3,0.6"), 3),
+         # A map that leaves its box is guarded: each run checks one more config, the one it runs.
+         (("--operator", "example_2_2", "--x0", "[3]", "--thetas", "0.3,0.6"), 5)],
+    )
+    def test_one_checked_config_per_theta(self, monkeypatch, capsys, argv, configs):
+        # The spec's config, then one per theta; a run keeps a config that already holds its guard.
+        built = []
+        check = SchemeConfig.__post_init__
+
+        def counted(cfg):
+            built.append(cfg)
+            check(cfg)
+
+        monkeypatch.setattr(SchemeConfig, "__post_init__", counted)
+        assert run_cli("sweep", *argv) == 0
+        assert len(built) == configs
+        assert capsys.readouterr().out.count(",converged\n") == 2
 
     def test_linear_family_sweep(self, tmp_path, capsys):
         p = tmp_path / "problem.txt"

@@ -376,6 +376,12 @@ class TestDomainHandling:
         for pair in tr.iterates:
             assert f.domain.contains(pair.x, slack=1e-12)
 
+    @pytest.mark.parametrize("name, guard", [("example_4_1", False), ("example_4_1", True), ("example_2_2", True)])
+    def test_a_config_already_holding_its_guard_is_the_one_run(self, name, guard):
+        # Nothing to resolve, so the trace holds the caller's config, not a checked copy of it.
+        c = cfg(KRASNOSELSKIJ_DIAGONAL, theta=0.5, max_iter=50, guard_domain=guard)
+        assert krasnoselskij_diagonal(get_operator(name), [0.5], c).scheme_config is c
+
     def test_lying_metadata_yields_left_domain(self):
         # Operator claims to be a self-map but pushes points outside.
         f = BivariateOperator(

@@ -347,6 +347,40 @@ class TestMakeLinearOperator:
         f = make_linear_operator([[2.0]], [[0.5]], [0.0], Box([-1.0], [1.0]))
         assert f.known_coupled_fixed_points == ()
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_no_norm_and_no_solve_unless_asked(self, monkeypatch, d):
+        # The two spectral norms (SVDs) decide only the default; a point is solved for only when attached.
+        def refuse(*args, **kwargs):
+            raise AssertionError("not called when the fixed point is declined")
+
+        for name in ("norm", "svd", "solve"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        a, box = 0.25 * np.eye(d), Box([-1.0] * d, [1.0] * d)  # ||A|| + ||B|| < 1: the default attaches
+        f = make_linear_operator(a, a, [0.125] * d, box, attach_fixed_point=False)
+        assert f.known_coupled_fixed_points == ()
+        assert f.eval([0.5] * d, [0.5] * d).tolist() == [0.375] * d
+        monkeypatch.undo()
+        monkeypatch.setattr(np.linalg, "norm", refuse)  # forced: solved, with no norm
+        (pair,) = make_linear_operator(a, a, [0.125] * d, box, attach_fixed_point=True).known_coupled_fixed_points
+        assert pair.x == pytest.approx([0.25] * d, rel=1e-12)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.floats(0.5, 1.5), st.floats(0.0, 1.0))
+    @example(1, 0, 1.0, 0.5)  # at the boundary, on either side as the norms round
+    @example(1, 0, 0.9999999999999999, 0.5)
+    def test_default_attaches_exactly_when_the_norms_sum_below_1(self, d, seed, norm_sum, share):
+        rng = np.random.default_rng(seed)
+        m1, m2 = rng.standard_normal((2, d, d))
+        a = m1 * (share * norm_sum / np.linalg.norm(m1, 2))
+        b = m2 * ((1.0 - share) * norm_sum / np.linalg.norm(m2, 2))
+        below = float(np.linalg.norm(a, 2)) + float(np.linalg.norm(b, 2)) < 1.0
+        f = make_linear_operator(a, b, rng.uniform(-1.0, 1.0, d), Box([-10.0] * d, [10.0] * d))
+        assert len(f.known_coupled_fixed_points) == below
+        if below:
+            (pair,) = f.known_coupled_fixed_points
+            assert pair.x.tobytes() == pair.y.tobytes()
+            assert is_coupled_fixed_point(f, pair, 1e-9)
+
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="square"):
             make_linear_operator([[1.0, 2.0]], [[0.0]], [0.0], Box([-1.0], [1.0]))

@@ -273,10 +273,66 @@ def _edge_trace(distances):
     )
 
 
-@settings(deadline=None, max_examples=200)
-@given(drawn_traces())
+# How an entry's y is made from its x: the same bits, x with one zero's sign
+# flipped, or x with one coordinate moved by one ulp. The writers format a
+# trace whose every y is its x once per coordinate; the other two must not share text.
+_TWINS = ("same", "zero_sign", "ulp")
+
+
+def _twin(x: list[float], kind: str, i: int, up: bool) -> tuple[list[float], list[float]]:
+    x, y = list(x), list(x)
+    if kind == "zero_sign":
+        x[i] = -0.0 if up else 0.0
+        y[i] = -x[i]
+    elif kind == "ulp":
+        moved = math.nextafter(x[i], math.inf if up else -math.inf)
+        y[i] = moved if math.isfinite(moved) else math.nextafter(x[i], 0.0)
+    return x, y
+
+
+@st.composite
+def near_diagonal_traces(draw):
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+    coordinates = edge_coordinates | st.floats(allow_nan=False, allow_infinity=False)
+    # Mostly diagonal traces, with any one entry (or several) made unequal in the last bit.
+    kinds = draw(st.lists(st.sampled_from(_TWINS), min_size=m, max_size=m) | st.just(["same"] * m))
+    iterates = []
+    for kind in kinds:
+        x = draw(st.lists(coordinates, min_size=d, max_size=d))
+        iterates.append(CoupledPair(*_twin(x, kind, draw(st.integers(0, d - 1)), draw(st.booleans()))))
+    event("diagonal" if set(kinds) == {"same"} else "not diagonal")
+    norms = st.lists(edge_norms, min_size=m, max_size=m)
+    return IterationTrace(
+        step_indices=list(range(m)),
+        iterates=iterates,
+        residuals=draw(norms),
+        distances_to_target=draw(st.none() | norms),
+        status=MAX_ITER_REACHED,
+        scheme_config=SchemeConfig(KRASNOSELSKIJ_DOUBLE, max_iter=m),
+        operator_name="twins",
+    )
+
+
+def _twin_trace(kinds, x):
+    return IterationTrace(
+        step_indices=list(range(len(kinds))),
+        iterates=[CoupledPair(*_twin(x, kind, 0, True)) for kind in kinds],
+        residuals=[1.0] * len(kinds),
+        distances_to_target=None,
+        status=MAX_ITER_REACHED,
+        scheme_config=SchemeConfig(KRASNOSELSKIJ_DIAGONAL, max_iter=len(kinds)),
+        operator_name="twins",
+    )
+
+
+@settings(deadline=None, max_examples=400)
+@given(drawn_traces() | near_diagonal_traces())
 @example(_edge_trace([math.inf, FLOAT_MAX, 0.0]))
 @example(_edge_trace(None))
+@example(_twin_trace(["same", "same", "zero_sign"], [0.5, 0.0]))  # only the last entry differs
+@example(_twin_trace(["same", "ulp", "same"], [FLOAT_MAX, 1e16]))  # the ulp moves down from the maximum
+@example(_twin_trace(["same"] * 3, [-0.0, 5e-324]))  # diagonal, a -0.0 in both components
 def test_writers_match_the_reference_writers(trace):
     assert trace_to_csv(trace) == reference_trace_to_csv(trace)
     assert trace_to_json(trace) == reference_trace_to_json(trace)
