@@ -67,7 +67,9 @@ the representations do differently is four small functions, bound at entry:
   ``NonFiniteEvaluationError`` at the starting pair;
 - ``advance`` builds the next pair, ``(1 - theta) * z`` and then
   ``+ theta * F`` (Picard takes the images themselves), and clamps it when
-  guarded or else tests it for escape.
+  guarded or else tests it for escape. On the block it scales the images
+  and clamps in place, and its bounds and target are (2, d) blocks built
+  at entry, so no step broadcasts a (d,) row against the pair.
 
 Picard runs only on the block; its 2-cycle test, in the status chain, scales
 each pair once and reads the last three from one stacked block. Nothing
@@ -353,7 +355,9 @@ def _iterate(
             y = w * z[1] + theta * fz[1]
             return (x, y), x < lo or x > hi or y < lo or y > hi  # finite, so < is the negation of >=
     else:
-        box, guard, target = f.domain, cfg.guard_domain, target_v
+        guard = cfg.guard_domain
+        lower, upper, low, high = (np.array((v, v)) for v in (f.domain.lower, f.domain.upper, low, high))
+        target = None if target_v is None else np.array((target_v, target_v))
 
         def gap(u, v):
             return _max_row_norm(u - v)
@@ -369,14 +373,15 @@ def _iterate(
             return _count_nonzero(np.isfinite(fz)) == fz.size
 
         def advance(z, fz):
-            # zn is a fresh block (fz is one for Picard), so writing into it leaves z alone.
+            # zn is a fresh block and fz the loop's own (zn is fz for Picard): writing into them leaves z alone.
             if picard:
                 zn = fz
             else:
+                fz *= theta
                 zn = w * z
-                zn += theta * fz
+                zn += fz
             if guard:
-                return _clamp(zn, box), False
+                return _clamp(zn, lower, upper, out=zn), False
             # zn is finite, so < is the negation of >=.
             return zn, _count_nonzero(zn < low) or _count_nonzero(zn > high)
 

@@ -229,13 +229,13 @@ class Box:
         return np.array_equal(self.lower, other.lower) and np.array_equal(self.upper, other.upper)
 
 
-def _clamp(v: np.ndarray, box: Box) -> np.ndarray:
-    # The one clamp rule, for a checked vector or a block of rows such as the engine's (2, d) pair.
-    return np.minimum(np.maximum(v, box.lower), box.upper)
+def _clamp(v: np.ndarray, lower: np.ndarray, upper: np.ndarray, out=None) -> np.ndarray:
+    # The one clamp rule, for a checked vector or the engine's (2, d) pair; out=v clamps v in place.
+    return np.minimum(np.maximum(v, lower, out=out), upper, out=out)
 
 
 def project_box(x, box: Box) -> np.ndarray:
     """Componentwise clamp of ``x`` into the box; identity on interior points."""
     xv = as_vector(x, "x")
     _require_same_dim(xv, box.lower, "project_box")
-    return _clamp(xv, box)
+    return _clamp(xv, box.lower, box.upper)

@@ -50,8 +50,12 @@ string as ``format_float(v)``, inf and -0.0 included. A diagonal trace
 x0 == y0) formats each x once and writes that text for y too; the test
 stops at the first entry whose x and y differ, so a double trace pays
 for it about once. 0.0 and -0.0 differ in bits, so they never share
-text. Only the JSON ``residuals`` and ``distances`` go value by value,
-for their ``1e999``.
+text. The JSON norms fill one template too, unless the list holds inf,
+which goes value by value, for its ``1e999``. The reader checks each
+entry's structure, then reads every coordinate as one (2, m, d) block,
+whose rows are the pairs, and each list of norms in one array pass. Only
+when that fails does it go entry by entry or value by value, to name the
+first bad one.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ import reprlib
 
 from .iteration import IterationTrace, SchemeConfig
 from .operators import CoupledPair
+from .space import _as_array, _count_nonzero
 
 __all__ = ["format_float", "trace_to_json", "trace_from_json", "trace_to_csv"]
 
@@ -80,7 +85,10 @@ def _json_float(v: float) -> str:
 
 
 def _array(values) -> str:
-    return "[" + ", ".join(map(_json_float, values)) + "]"
+    # One template for the norms, as for the iterates; a list that holds inf goes value by value.
+    if math.inf in values:
+        return "[" + ", ".join(map(_json_float, values)) + "]"
+    return ("[" + ", ".join(["%.17g"] * len(values)) + "]") % tuple(values)
 
 
 def _diagonal_texts(trace: IterationTrace, template: str):
@@ -190,6 +198,52 @@ def _norm_value(key: str, k: int, v) -> float:
     return f
 
 
+def _norms(key: str, values: list, text: str) -> list[float]:
+    # One type pass and one array pass when every value is a finite number >= 0; else value
+    # by value, which names a bad value and reads inf back only where the writer wrote 1e999.
+    try:
+        arr = _as_array(values, key) if _NUMBERS.issuperset(map(type, values)) else None
+    except ValueError:  # an inf, or an integer past the float range
+        arr = None
+    if arr is not None and _count_nonzero(arr >= 0.0) == arr.size:
+        return arr.tolist()
+    values = [_norm_value(key, k, v) for k, v in enumerate(values)]
+    if math.inf in values:  # written 1e999, or an overflowing literal the writer never writes
+        values = [_norm_value(key, k, v) for k, v in enumerate(_INF_DECODER.decode(text)[key])]
+    return values
+
+
+def _iterates_of(entries: list, one_by_one: bool) -> tuple[list[int], list[CoupledPair]]:
+    # Each entry's structure, and then every coordinate as one (2, m, d) block; or, one by one,
+    # each entry's own CoupledPair, which names the first bad entry.
+    steps, xs, ys, iterates = [], [], [], []
+    for k, e in enumerate(entries):
+        if type(e) is not dict or e.keys() != _ENTRY_KEYS.keys():
+            raise _wrong_keys(f"iterates[{k}]", e, _ENTRY_KEYS)
+        n, x, y = e["n"], e["x"], e["y"]
+        if type(n) is not int or (n <= steps[-1] if steps else n != 0):
+            raise ValueError(f"iterates[{k}] has n = {n!r}: step indices are integers rising from 0")
+        if type(x) is not list or type(y) is not list or not _NUMBERS.issuperset(map(type, x + y)):
+            raise ValueError(f"iterates[{k}]: x and y must be arrays of numbers, got {reprlib.repr(e)}")
+        if one_by_one:
+            try:
+                pair = CoupledPair(x, y)
+            except ValueError as exc:
+                raise ValueError(f"iterates[{k}]: {exc}") from None
+            if iterates and pair.dim != iterates[0].dim:
+                raise ValueError(f"iterates[{k}] has dimension {pair.dim}, iterates[0] has {iterates[0].dim}")
+            iterates.append(pair)
+        steps.append(n)
+        xs.append(x)
+        ys.append(y)
+    if one_by_one:
+        return steps, iterates
+    block = _as_array((xs, ys), "iterates")  # ragged rows or a non-finite coordinate raise here
+    if not block.size:  # no entry, or empty rows: the pass entry by entry names the fault
+        raise ValueError("iterates holds no coordinates")
+    return steps, list(map(CoupledPair._of, block[0], block[1]))
+
+
 def trace_from_json(text: str) -> IterationTrace:
     """Parse what ``trace_to_json`` wrote; a ``ValueError`` names what is wrong."""
     try:
@@ -202,31 +256,12 @@ def trace_from_json(text: str) -> IterationTrace:
         if kind is not None and not kind[1](doc[key]):
             raise ValueError(f"{key} must be {kind[0]}, got {reprlib.repr(doc[key])}")
     cfg = SchemeConfig(**{key: doc[key] for key in _CONFIG_KEYS})
-    steps, iterates = [], []
-    for k, e in enumerate(doc["iterates"]):
-        if type(e) is not dict or e.keys() != _ENTRY_KEYS.keys():
-            raise _wrong_keys(f"iterates[{k}]", e, _ENTRY_KEYS)
-        n, x, y = e["n"], e["x"], e["y"]
-        if type(n) is not int or (n <= steps[-1] if steps else n != 0):
-            raise ValueError(f"iterates[{k}] has n = {n!r}: step indices are integers rising from 0")
-        if type(x) is not list or type(y) is not list or not _NUMBERS.issuperset(map(type, x + y)):
-            raise ValueError(f"iterates[{k}]: x and y must be arrays of numbers, got {reprlib.repr(e)}")
-        try:
-            pair = CoupledPair(x, y)
-        except ValueError as exc:
-            raise ValueError(f"iterates[{k}]: {exc}") from None
-        if iterates and pair.dim != iterates[0].dim:
-            raise ValueError(f"iterates[{k}] has dimension {pair.dim}, iterates[0] has {iterates[0].dim}")
-        steps.append(n)
-        iterates.append(pair)
+    try:
+        steps, iterates = _iterates_of(doc["iterates"], one_by_one=False)
+    except ValueError:  # entry by entry, the first bad entry raises what it alone would
+        steps, iterates = _iterates_of(doc["iterates"], one_by_one=True)
     # Each list is walked on its own; the constructor compares the lengths.
-    norms = {}
-    for key in ("residuals", "distances"):
-        if doc[key] is not None:
-            values = [_norm_value(key, k, v) for k, v in enumerate(doc[key])]
-            if math.inf in values:  # written 1e999, or an overflowing literal the writer never writes
-                values = [_norm_value(key, k, v) for k, v in enumerate(_INF_DECODER.decode(text)[key])]
-            norms[key] = values
+    norms = {key: _norms(key, doc[key], text) for key in ("residuals", "distances") if doc[key] is not None}
     return IterationTrace(
         step_indices=steps,
         iterates=iterates,

@@ -15,6 +15,7 @@ from coupledfix import (
     norm,
     project_box,
 )
+from coupledfix.space import _clamp
 from helpers import reference_norm
 
 coords = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
@@ -294,6 +295,41 @@ class TestProjectBox:
         once = project_box(x, b)
         assert np.array_equal(project_box(once, b), once)
         assert b.contains(once)
+
+
+FLOAT_MAX = np.finfo(float).max
+# Signed zeros and the float maximum come up often, against bounds drawn from the same values.
+clamp_values = st.sampled_from([0.0, -0.0, FLOAT_MAX, -FLOAT_MAX, 5e-324, -5e-324]) | st.floats(allow_nan=False)
+
+
+def blocks(elements):
+    return hnp.arrays(np.float64, st.tuples(st.just(2), shared_dim), elements=elements)
+
+
+class TestClampOnBlocks:
+    @given(blocks(clamp_values | st.just(math.nan)), blocks(clamp_values.filter(math.isfinite)))
+    @settings(deadline=None, max_examples=300)
+    def test_block_bounds_and_out_match_the_broadcast_rule(self, v, ends):
+        # The engine clamps its (2, d) pair in place against (2, d) bound blocks; the
+        # reference broadcasts the (d,) bounds over the block into a new array.
+        lower, upper = np.sort(ends, axis=0)
+        expected = np.minimum(np.maximum(v, lower), upper).tobytes()
+        lo, hi = np.array((lower, lower)), np.array((upper, upper))
+        assert _clamp(v, lo, hi).tobytes() == expected
+        assert _clamp(v, lower, upper).tobytes() == expected
+        w = v.copy()
+        assert _clamp(w, lo, hi, out=w) is w
+        assert w.tobytes() == expected
+        if np.isfinite(v[0]).all():  # project_box takes finite vectors only
+            assert project_box(v[0], Box(lower, upper)).tobytes() == expected[: 8 * v.shape[1]]
+
+    def test_negative_zero_against_a_zero_bound(self):
+        v = np.array([[-0.0, 0.0, -0.0], [0.0, -0.0, -FLOAT_MAX]])
+        for lower, upper in (([0.0, -0.0, -FLOAT_MAX], [0.0, 0.0, 0.0]), ([-0.0] * 3, [FLOAT_MAX] * 3)):
+            lower, upper = np.array(lower), np.array(upper)
+            w = v.copy()
+            _clamp(w, np.array((lower, lower)), np.array((upper, upper)), out=w)
+            assert w.tobytes() == np.minimum(np.maximum(v, lower), upper).tobytes()
 
 
 class TestAsVector:

@@ -127,6 +127,35 @@ class TestJsonRoundTrip:
         assert again == trace
         assert again.step_indices == trace.step_indices
 
+    @pytest.mark.parametrize("k", [3, 4], ids=["double_d1", "diagonal_d3"])
+    def test_pairs_read_back_are_float_rows_of_their_own(self, k):
+        text = trace_to_json(sample_traces()[k])
+        pairs = trace_from_json(text).iterates
+        d = pairs[0].dim
+        for p in pairs:
+            for v in p:
+                assert type(v) is np.ndarray and v.dtype == np.float64 and v.shape == (d,)
+        # Writing into one pair's x leaves every other entry, and that pair's y, as read.
+        for j in (0, len(pairs) // 2, len(pairs) - 1):
+            pairs[j].x[:] = 7.0
+            fresh = trace_from_json(text).iterates
+            for i, (p, q) in enumerate(zip(pairs, fresh)):
+                assert p.y.tobytes() == q.y.tobytes()
+                assert i == j or p.x.tobytes() == q.x.tobytes()
+            pairs[j].x[:] = fresh[j].x
+
+    def test_integer_norms_read_back_as_floats(self):
+        doc = _short_doc()
+        doc["residuals"][1] = 0
+        doc["distances"][2] = 3
+        trace = trace_from_json(json.dumps(doc))
+        assert type(trace.residuals[1]) is float and trace.residuals[1] == 0.0
+        assert type(trace.distances_to_target[2]) is float and trace.distances_to_target[2] == 3.0
+        assert all(type(v) is float for v in trace.residuals + trace.distances_to_target)
+        # The writer writes them back as 0 and 3, and the text reads back to the same trace.
+        again = trace_to_json(trace)
+        assert json.loads(again)["residuals"][1] == 0 and trace_from_json(again) == trace
+
     def test_negative_zero_keeps_its_sign(self):
         # format_float(-0.0) writes "-0", which json reads as the integer 0.
         trace = _hand_built(
@@ -474,6 +503,53 @@ class TestJsonRejectsWhatTheWriterCannotWrite:
         doc = _short_doc()
         doc["iterates"][1]["y"] = coordinates
         with pytest.raises(ValueError, match=r"^iterates\[1\]: "):
+            trace_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("x", "1e400", "x has non-finite coordinates"),  # a literal: json reads it as inf
+            ("x", [10**400], "x has non-finite coordinates"),
+            ("x", [], "x must be a 1-D sequence of reals, got shape (0,)"),
+            ("y", [], "y must be a 1-D sequence of reals, got shape (0,)"),
+            ("y", [0.5, 0.25], "pair components differ in dimension: 1 vs 2"),
+            ("x", [0.5, 0.25], "pair components differ in dimension: 2 vs 1"),
+        ],
+        ids=["literal_1e400", "int_10_400", "empty_x", "empty_y", "longer_y", "longer_x"],
+    )
+    def test_bad_coordinates_after_the_first_entry_keep_the_whole_message(self, key, value, message):
+        doc = _short_doc()
+        doc["iterates"][2][key] = ["LITERAL"] if value == "1e400" else value
+        text = json.dumps(doc).replace('"LITERAL"', "1e400")
+        with pytest.raises(ValueError, match=f"^{re.escape('iterates[2]: ' + message)}$"):
+            trace_from_json(text)
+
+    def test_an_entry_of_another_dimension_after_the_first_keeps_the_whole_message(self):
+        doc = _short_doc()
+        doc["iterates"][3].update(x=[0.5, 0.25], y=[0.5, 0.25])
+        with pytest.raises(ValueError, match=r"^iterates\[3\] has dimension 2, iterates\[0\] has 1$"):
+            trace_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "later",
+        [{"n": 7}, {"x": "0.5"}, {"y": None}, {"z": 1}],
+        ids=["bad_n", "string_x", "null_y", "extra_key"],
+    )
+    @pytest.mark.parametrize(
+        "earlier, message",
+        [
+            ({"x": [10**400]}, "iterates[1]: x has non-finite coordinates"),
+            ({"x": [0.5, 0.25]}, "iterates[1]: pair components differ in dimension: 2 vs 1"),
+            ({"x": [0.5, 0.25], "y": [0.5, 0.25]}, "iterates[1] has dimension 2, iterates[0] has 1"),
+        ],
+        ids=["non_finite", "ragged_pair", "other_dimension"],
+    )
+    def test_a_bad_value_is_named_before_a_later_entrys_bad_structure(self, earlier, message, later):
+        # Entries are read in order, so the first fault found is the first entry's.
+        doc = _short_doc()
+        doc["iterates"][1].update(earlier)
+        doc["iterates"][2].update(later)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             trace_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("entry", [5, [0, [1.0], [1.0]], {"n": 1, "x": [0.5], "y": [0.5], "z": 1}])
